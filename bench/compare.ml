@@ -27,7 +27,8 @@
    (missing/bad file, different schema/mode/settings, or a whole top-level
    section absent on either side — every absent section is named first).
    Regression lines go to stdout without numeric values (stable for cram);
-   the numbers go to stderr, as does the history.jsonl trend summary. *)
+   the numbers go to stderr.  With --trend the history.jsonl log is judged
+   by trend.ml's gate, the one reader of that log. *)
 
 let baseline_path = ref "bench/baseline.json"
 let current_path = ref "BENCH_encoding.json"
@@ -41,8 +42,7 @@ let args =
     ("--current", Arg.Set_string current_path, "FILE freshly generated json");
     ( "--history",
       Arg.Set_string history_path,
-      "FILE append-only run log (history.jsonl); trend summary when it \
-       holds two or more entries" );
+      "FILE append-only run log (history.jsonl) that --trend gates" );
     ( "--time-band",
       Arg.Set_float time_band,
       "PCT allowed wall-clock drift, percent (default 300)" );
@@ -54,7 +54,7 @@ let args =
 
 let usage =
   "compare [--baseline FILE] [--current FILE] [--history FILE] \
-   [--time-band PCT]"
+   [--time-band PCT] [--trend]"
 
 let die_incomparable msg =
   print_endline ("bench compare: incomparable (" ^ msg ^ ")");
@@ -70,10 +70,9 @@ let read_file path =
       s
 
 let load path =
-  match Json_min.of_string (read_file path) with
-  | v -> v
-  | exception Json_min.Parse_error msg ->
-      die_incomparable (path ^ ": " ^ msg)
+  match Jsonu.of_string (read_file path) with
+  | Ok v -> v
+  | Error e -> die_incomparable (path ^ ": " ^ Jsonu.error_to_string e)
 
 (* ---- classification --------------------------------------------------- *)
 
@@ -131,23 +130,25 @@ let fail ~kind rpath detail =
 let feq a b =
   a = b || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
 
+let num_member doc key = Option.bind (Jsonu.member key doc) Jsonu.to_float
+
 (* Arrays of {"name": ...} objects (evaluations, attribution) index by name
    in paths, so a reordered baseline reads sensibly; throughput legs are
    keyed by their requested domain count instead. *)
 let element_label i v =
-  match Option.bind (Json_min.member "name" v) Json_min.to_string_opt with
+  match Option.bind (Jsonu.member "name" v) Jsonu.to_string_opt with
   | Some name -> Printf.sprintf "[%s]" name
   | None -> (
-      match Json_min.member "requested_domains" v with
-      | Some (Json_min.Num d) -> Printf.sprintf "[d%g]" d
-      | _ -> Printf.sprintf "[%d]" i)
+      match num_member v "requested_domains" with
+      | Some d -> Printf.sprintf "[d%g]" d
+      | None -> Printf.sprintf "[%d]" i)
 
-let rec walk rpath (b : Json_min.t) (c : Json_min.t) =
+let rec walk rpath (b : Jsonu.t) (c : Jsonu.t) =
   match classify (List.rev rpath) with
   | Ignore -> ()
   | rule -> (
       match (b, c) with
-      | Json_min.Obj bf, Json_min.Obj cf ->
+      | Jsonu.Obj bf, Jsonu.Obj cf ->
           List.iter
             (fun (key, bv) ->
               match List.assoc_opt key cf with
@@ -161,7 +162,7 @@ let rec walk rpath (b : Json_min.t) (c : Json_min.t) =
                 fail ~kind:"structure" (key :: rpath)
                   "new field not in baseline (regenerate bench/baseline.json)")
             cf
-      | Json_min.Arr bl, Json_min.Arr cl ->
+      | Jsonu.Arr bl, Jsonu.Arr cl ->
           if List.length bl <> List.length cl then
             fail ~kind:"structure" rpath
               (Printf.sprintf "length %d -> %d (regenerate bench/baseline.json)"
@@ -170,29 +171,30 @@ let rec walk rpath (b : Json_min.t) (c : Json_min.t) =
             List.iteri
               (fun i (bv, cv) -> walk (element_label i bv :: rpath) bv cv)
               (List.combine bl cl)
-      | Json_min.Num x, Json_min.Num y -> (
-          match rule with
-          | Band ->
+      | Jsonu.Str x, Jsonu.Str y ->
+          incr exact_checked;
+          if x <> y then
+            fail ~kind:"exact" rpath (Printf.sprintf "%S -> %S" x y)
+      | Jsonu.Bool x, Jsonu.Bool y ->
+          incr exact_checked;
+          if x <> y then
+            fail ~kind:"exact" rpath (Printf.sprintf "%b -> %b" x y)
+      | Jsonu.Null, Jsonu.Null -> ()
+      | _ -> (
+          (* numbers compare by value whether written 3 or 3.0 *)
+          match (Jsonu.to_float b, Jsonu.to_float c) with
+          | Some x, Some y when rule = Band ->
               incr band_checked;
               let limit = Float.abs x *. (!time_band /. 100.0) in
               if Float.abs (y -. x) > limit then
                 fail ~kind:"band" rpath
                   (Printf.sprintf "%.2f -> %.2f (allowed +/-%.0f%%)" x y
                      !time_band)
-          | _ ->
+          | Some x, Some y ->
               incr exact_checked;
               if not (feq x y) then
-                fail ~kind:"exact" rpath (Printf.sprintf "%.4f -> %.4f" x y))
-      | Json_min.Str x, Json_min.Str y ->
-          incr exact_checked;
-          if x <> y then
-            fail ~kind:"exact" rpath (Printf.sprintf "%S -> %S" x y)
-      | Json_min.Bool x, Json_min.Bool y ->
-          incr exact_checked;
-          if x <> y then
-            fail ~kind:"exact" rpath (Printf.sprintf "%b -> %b" x y)
-      | Json_min.Null, Json_min.Null -> ()
-      | _ -> fail ~kind:"structure" rpath "value kind changed")
+                fail ~kind:"exact" rpath (Printf.sprintf "%.4f -> %.4f" x y)
+          | _ -> fail ~kind:"structure" rpath "value kind changed"))
 
 (* ---- section inventory ------------------------------------------------ *)
 
@@ -202,7 +204,7 @@ let rec walk rpath (b : Json_min.t) (c : Json_min.t) =
    section on both sides, then refuse (exit 2). *)
 let check_sections base cur =
   let keys = function
-    | Json_min.Obj fields -> List.map fst fields
+    | Jsonu.Obj fields -> List.map fst fields
     | _ -> die_incomparable "top level is not an object"
   in
   let bkeys = keys base and ckeys = keys cur in
@@ -221,11 +223,6 @@ let check_sections base cur =
     die_incomparable "top-level sections differ"
 
 (* ---- speedup floors ---------------------------------------------------- *)
-
-let num_member doc key =
-  match Json_min.member key doc with
-  | Some (Json_min.Num f) -> Some f
-  | _ -> None
 
 (* The raw-speed work has hard floors, read from the CURRENT run only (they
    are self-relative ratios, so the baseline's machine doesn't matter):
@@ -248,14 +245,14 @@ let warm_floor = 1.3
 let check_speedup_floors cur =
   let cores =
     num_member
-      (Option.value (Json_min.member "settings" cur) ~default:Json_min.Null)
+      (Option.value (Jsonu.member "settings" cur) ~default:Jsonu.Null)
       "cores"
   in
   (match cores with
   | Some c when c >= campaign_floor_min_cores -> (
       let legs =
-        match Json_min.member "throughput" cur with
-        | Some (Json_min.Arr l) -> l
+        match Jsonu.member "throughput" cur with
+        | Some (Jsonu.Arr l) -> l
         | _ -> []
       in
       let leg_rate leg =
@@ -296,7 +293,7 @@ let check_speedup_floors cur =
         campaign_floor_min_cores);
   match
     num_member
-      (Option.value (Json_min.member "plan_cache" cur) ~default:Json_min.Null)
+      (Option.value (Jsonu.member "plan_cache" cur) ~default:Jsonu.Null)
       "warm_speedup"
   with
   | Some s ->
@@ -312,73 +309,10 @@ let check_speedup_floors cur =
         [ "warm_speedup"; "plan_cache" ]
         "plan_cache.warm_speedup missing"
 
-(* ---- trend summary ----------------------------------------------------- *)
-
-(* The harness appends one JSON line per run; once two entries exist,
-   summarise first -> last.  Machine-dependent numbers, so everything goes
-   to stderr (cram drops it).  A missing or short file is not an error. *)
-let trend_summary () =
-  match open_in !history_path with
-  | exception Sys_error _ -> ()
-  | ic ->
-      let entries = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match Json_min.of_string line with
-             | v -> entries := v :: !entries
-             | exception Json_min.Parse_error _ -> ()
-         done
-       with End_of_file -> ());
-      close_in ic;
-      let entries = List.rev !entries in
-      let n = List.length entries in
-      if n >= 2 then begin
-        let first = List.hd entries and last = List.nth entries (n - 1) in
-        let num doc key =
-          match Json_min.member key doc with
-          | Some (Json_min.Num f) -> Some f
-          | _ -> None
-        in
-        Printf.eprintf "history: %d runs in %s\n" n !history_path;
-        (* the log is append-only across harness versions; when entries
-           span a schema bump the wall-clock trend crosses a change in how
-           much work a run does (the /5 bump added the domains sweep), so
-           flag it rather than letting the numbers mislead *)
-        let schemas =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun e ->
-                 Option.bind (Json_min.member "schema" e)
-                   Json_min.to_string_opt)
-               entries)
-        in
-        (match schemas with
-        | _ :: _ :: _ ->
-            Printf.eprintf
-              "  note: entries span schemas %s; wall_s is not comparable \
-               across a schema bump (each version times a different amount \
-               of work)\n"
-              (String.concat " -> " schemas)
-        | _ -> ());
-        List.iter
-          (fun (label, key) ->
-            match (num first key, num last key) with
-            | Some a, Some b ->
-                Printf.eprintf "  %s: %.2f -> %.2f (first -> last)\n" label a b
-            | _ -> ())
-          [
-            ("wall_s", "wall_s");
-            ("mean_reduction_k4_pct", "mean_reduction_k4_pct");
-            ("mean_net_savings_k4_pct", "mean_net_savings_k4_pct");
-          ]
-      end
-
 (* ---- trend gate -------------------------------------------------------- *)
 
-(* Opt-in (--trend): the full analyzer from trend.ml over the same
-   history file.  Regression names go to stdout without numbers (stable
+(* Opt-in (--trend): the analyzer from trend.ml over the --history
+   file.  Regression names go to stdout without numbers (stable
    for cram); details and warnings to stderr.  Trend regressions count
    toward the exit-1 total like any other. *)
 let trend_gate () =
@@ -404,17 +338,16 @@ let trend_gate () =
 (* ---- preconditions ---------------------------------------------------- *)
 
 let get_str doc key =
-  Option.bind (Json_min.member key doc) Json_min.to_string_opt
+  Option.bind (Jsonu.member key doc) Jsonu.to_string_opt
 
 let setting doc key =
   Option.bind
-    (Option.bind (Json_min.member "settings" doc) (Json_min.member key))
+    (Option.bind (Jsonu.member "settings" doc) (Jsonu.member key))
     (fun v ->
       match v with
-      | Json_min.Bool b -> Some (string_of_bool b)
-      | Json_min.Num f -> Some (Printf.sprintf "%g" f)
-      | Json_min.Str s -> Some s
-      | _ -> None)
+      | Jsonu.Bool b -> Some (string_of_bool b)
+      | Jsonu.Str s -> Some s
+      | v -> Option.map (Printf.sprintf "%g") (Jsonu.to_float v))
 
 let require_same what a b =
   if a <> b then
@@ -446,7 +379,6 @@ let () =
   check_sections base cur;
   walk [] base cur;
   check_speedup_floors cur;
-  trend_summary ();
   trend_gate ();
   if !regressions > 0 then begin
     Printf.printf "bench compare: %d regression(s)\n" !regressions;

@@ -88,9 +88,9 @@ let load_history path =
          while true do
            let line = input_line ic in
            if String.trim line <> "" then
-             match Json_min.of_string line with
-             | v -> entries := v :: !entries
-             | exception Json_min.Parse_error _ -> incr skipped
+             match Jsonu.of_string line with
+             | Ok v -> entries := v :: !entries
+             | Error _ -> incr skipped
          done
        with End_of_file -> ());
       close_in ic;
@@ -139,13 +139,12 @@ let sparkline xs =
 (* ---- analysis ---------------------------------------------------------- *)
 
 let get_str doc key =
-  Option.bind (Json_min.member key doc) Json_min.to_string_opt
+  Option.bind (Jsonu.member key doc) Jsonu.to_string_opt
 
 let numeric_leaves = function
-  | Json_min.Obj fields ->
+  | Jsonu.Obj fields ->
       List.filter_map
-        (fun (k, v) ->
-          match v with Json_min.Num f -> Some (k, f) | _ -> None)
+        (fun (k, v) -> Option.map (fun f -> (k, f)) (Jsonu.to_float v))
         fields
   | _ -> []
 
@@ -163,7 +162,7 @@ let trailing_worse_steps dir series =
   in
   count 0 (List.rev series)
 
-let analyze ?(window = default_window) (entries : Json_min.t list) skipped =
+let analyze ?(window = default_window) (entries : Jsonu.t list) skipped =
   let total = List.length entries in
   let schemas_seen =
     List.sort_uniq compare (List.map schema_of entries)
@@ -216,10 +215,7 @@ let analyze ?(window = default_window) (entries : Json_min.t list) skipped =
           (fun (leaf, latest_v) ->
             let series_prior =
               List.filter_map
-                (fun e ->
-                  match Json_min.member leaf e with
-                  | Some (Json_min.Num f) -> Some f
-                  | _ -> None)
+                (fun e -> Option.bind (Jsonu.member leaf e) Jsonu.to_float)
                 peers
             in
             let n = List.length series_prior in

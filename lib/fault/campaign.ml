@@ -299,20 +299,6 @@ let run config =
 
 (* ---- rendering --------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let outcome_json = function
   | Masked -> {|{"class":"masked"}|}
   | Corrupted c ->
@@ -325,7 +311,7 @@ let outcome_json = function
         detections fallbacks
   | Sdc -> {|{"class":"sdc"}|}
   | Trap { cause } ->
-      Printf.sprintf {|{"class":"trap","cause":"%s"}|} (json_escape cause)
+      Printf.sprintf {|{"class":"trap","cause":"%s"}|} (Jsonu.escape cause)
   | Hang { limit } -> Printf.sprintf {|{"class":"hang","cycle_cap":%d}|} limit
 
 let to_json (r : report) =
@@ -338,7 +324,7 @@ let to_json (r : report) =
     (String.concat ", " (List.map string_of_int r.ks));
   Printf.bprintf b "  \"benches\": [%s],\n"
     (String.concat ", "
-       (List.map (fun n -> "\"" ^ json_escape n ^ "\"") r.benches));
+       (List.map (fun n -> "\"" ^ Jsonu.escape n ^ "\"") r.benches));
   Printf.bprintf b "  \"outcomes\": {%s},\n"
     (String.concat ", "
        (List.map (fun (c, n) -> Printf.sprintf "\"%s\": %d" c n) r.totals));
@@ -347,7 +333,7 @@ let to_json (r : report) =
     (fun i rec_ ->
       Printf.bprintf b
         {|    {"id":%d,"bench":"%s","k":%d,"target":"%s","outcome":%s}|}
-        rec_.id (json_escape rec_.bench) rec_.k (json_escape rec_.target)
+        rec_.id (Jsonu.escape rec_.bench) rec_.k (Jsonu.escape rec_.target)
         (outcome_json rec_.outcome);
       if i < List.length r.records - 1 then Buffer.add_string b ",";
       Buffer.add_string b "\n")

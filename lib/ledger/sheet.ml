@@ -84,7 +84,7 @@ let to_json t =
   let b = Buffer.create 1024 in
   let p fmt = Printf.bprintf b fmt in
   p "{\"name\": \"%s\", \"fetches\": %d, \"model\": %s, \"baseline_bus\": %s, \"entries\": ["
-    t.name t.fetches (Model.to_json t.model) (item_json t.baseline_bus);
+    (Jsonu.escape t.name) t.fetches (Model.to_json t.model) (item_json t.baseline_bus);
   List.iteri
     (fun i e ->
       if i > 0 then p ", ";

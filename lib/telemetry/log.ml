@@ -57,28 +57,40 @@ let shards = 16
 let shard () = (Domain.self () :> int) land (shards - 1)
 let default_capacity = 8192
 
-type ring = {
+(* The ring's push count is the shard's emission seq, and its drop count
+   the shard's overflow; [levels] and [slugs] tally every emission, kept
+   or not. *)
+type shard = {
   mutex : Mutex.t;
-  mutable buf : event option array;
-  mutable next : int;  (* write cursor; also the shard's emission seq *)
-  mutable dropped : int;
-  levels : int array;  (* cumulative per-level emission counts *)
-  slugs : (string, int) Hashtbl.t;  (* cumulative per-slug counts *)
+  mutable ring : event Ring.t;
+  levels : int array;
+  slugs : (string, int) Hashtbl.t;
 }
 
 let capacity = ref default_capacity
 
-let fresh_ring () =
+let dummy =
   {
-    mutex = Mutex.create ();
-    buf = Array.make !capacity None;
-    next = 0;
-    dropped = 0;
-    levels = Array.make 4 0;
-    slugs = Hashtbl.create 16;
+    seq = 0;
+    t_ns = 0.0;
+    domain = 0;
+    level = Debug;
+    stability = Metrics.Stable;
+    event = "";
+    span = None;
+    fields = [];
   }
 
-let rings = Array.init shards (fun _ -> fresh_ring ())
+let fresh_ring () = Ring.create ~capacity:!capacity ~dummy
+
+let rings =
+  Array.init shards (fun _ ->
+      {
+        mutex = Mutex.create ();
+        ring = fresh_ring ();
+        levels = Array.make 4 0;
+        slugs = Hashtbl.create 16;
+      })
 
 let with_ring r f =
   Mutex.lock r.mutex;
@@ -88,9 +100,7 @@ let clear () =
   Array.iter
     (fun r ->
       with_ring r (fun () ->
-          r.buf <- Array.make !capacity None;
-          r.next <- 0;
-          r.dropped <- 0;
+          r.ring <- fresh_ring ();
           Array.fill r.levels 0 4 0;
           Hashtbl.reset r.slugs))
     rings
@@ -153,12 +163,7 @@ let emit ?(stability = Metrics.Stable) level slug fields =
     in
     let r = rings.(shard ()) in
     with_ring r (fun () ->
-        let cap = Array.length r.buf in
-        let slot = r.next mod cap in
-        if r.next >= cap && r.buf.(slot) <> None then
-          r.dropped <- r.dropped + 1;
-        r.buf.(slot) <- Some { e with seq = r.next };
-        r.next <- r.next + 1;
+        Ring.push r.ring { e with seq = Ring.pushed r.ring };
         r.levels.(level_rank level) <- r.levels.(level_rank level) + 1;
         Hashtbl.replace r.slugs slug
           (1 + Option.value ~default:0 (Hashtbl.find_opt r.slugs slug)))
@@ -172,11 +177,7 @@ let error ?stability slug fields = emit ?stability Error slug fields
 let events () =
   let all =
     Array.fold_left
-      (fun acc r ->
-        with_ring r (fun () ->
-            Array.fold_left
-              (fun acc -> function Some e -> e :: acc | None -> acc)
-              acc r.buf))
+      (fun acc r -> with_ring r (fun () -> Ring.to_list r.ring @ acc))
       [] rings
   in
   List.sort
@@ -196,7 +197,9 @@ let emitted () =
     0 rings
 
 let dropped () =
-  Array.fold_left (fun acc r -> with_ring r (fun () -> acc + r.dropped)) 0 rings
+  Array.fold_left
+    (fun acc r -> with_ring r (fun () -> acc + Ring.dropped r.ring))
+    0 rings
 
 let by_level () =
   let totals = Array.make 4 0 in
@@ -226,20 +229,6 @@ let by_event () =
 
 (* ---- JSON line codec -------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Floats always carry '.' or an exponent so the parser can give the
    constructor back; %.17g round-trips every finite double exactly. *)
 let json_float f =
@@ -253,7 +242,7 @@ let json_float f =
 let value_json = function
   | Int i -> string_of_int i
   | Float f -> json_float f
-  | Str s -> "\"" ^ json_escape s ^ "\""
+  | Str s -> "\"" ^ Jsonu.escape s ^ "\""
   | Bool b -> string_of_bool b
 
 let stability_name = function
@@ -264,227 +253,84 @@ let to_json e =
   let b = Buffer.create 192 in
   Printf.bprintf b
     "{\"run_id\":\"%s\",\"t_ns\":%s,\"domain\":%d,\"seq\":%d,\"level\":\"%s\",\"stability\":\"%s\",\"event\":\"%s\""
-    (json_escape (run_id ()))
+    (Jsonu.escape (run_id ()))
     (json_float e.t_ns) e.domain e.seq (level_name e.level)
     (stability_name e.stability)
-    (json_escape e.event);
+    (Jsonu.escape e.event);
   (match e.span with
-  | Some p -> Printf.bprintf b ",\"span\":\"%s\"" (json_escape p)
+  | Some p -> Printf.bprintf b ",\"span\":\"%s\"" (Jsonu.escape p)
   | None -> ());
   Buffer.add_string b ",\"fields\":{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\":%s" (json_escape k) (value_json v))
+      Printf.bprintf b "\"%s\":%s" (Jsonu.escape k) (value_json v))
     e.fields;
   Buffer.add_string b "}}";
   Buffer.contents b
 
-(* Minimal recursive-descent parse of exactly the object shape [to_json]
-   writes (any field order).  Self-contained: the bench's Json_min lives
-   outside the library, and the CLI's [logs] filter and the QCheck
-   round-trip both need parsing here. *)
+(* Decodes exactly the object shape [to_json] writes (any member order)
+   from the shared {!Jsonu} tree; unknown members are ignored. *)
 exception Bad of string
 
+let value_of_json key = function
+  | Jsonu.Int i -> Int i
+  | Jsonu.Float f -> Float f
+  | Jsonu.Str s -> Str s
+  | Jsonu.Bool b -> Bool b
+  | _ -> raise (Bad (Printf.sprintf "field %S must be a scalar" key))
+
 let of_json line =
-  let pos = ref 0 in
-  let len = String.length line in
-  let peek () = if !pos < len then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip_ws () =
-    while
-      !pos < len
-      && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then fail "unterminated string"
-      else
-        let c = line.[!pos] in
-        advance ();
-        match c with
-        | '"' -> Buffer.contents b
-        | '\\' ->
-            if !pos >= len then fail "dangling escape"
-            else begin
-              let e = line.[!pos] in
-              advance ();
-              (match e with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | '/' -> Buffer.add_char b '/'
-              | 'n' -> Buffer.add_char b '\n'
-              | 't' -> Buffer.add_char b '\t'
-              | 'r' -> Buffer.add_char b '\r'
-              | 'b' -> Buffer.add_char b '\b'
-              | 'f' -> Buffer.add_char b '\012'
-              | 'u' ->
-                  if !pos + 4 > len then fail "truncated \\u escape"
-                  else begin
-                    let hex = String.sub line !pos 4 in
-                    pos := !pos + 4;
-                    match int_of_string_opt ("0x" ^ hex) with
-                    | Some code when code < 0x80 ->
-                        Buffer.add_char b (Char.chr code)
-                    | Some code ->
-                        (* non-ASCII escapes: UTF-8 encode the code point
-                           (the encoder only emits \u for control chars,
-                           but accept the general form) *)
-                        if code < 0x800 then begin
-                          Buffer.add_char b
-                            (Char.chr (0xc0 lor (code lsr 6)));
-                          Buffer.add_char b
-                            (Char.chr (0x80 lor (code land 0x3f)))
-                        end
-                        else begin
-                          Buffer.add_char b
-                            (Char.chr (0xe0 lor (code lsr 12)));
-                          Buffer.add_char b
-                            (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-                          Buffer.add_char b
-                            (Char.chr (0x80 lor (code land 0x3f)))
-                        end
-                    | None -> fail "bad \\u escape"
-                  end
-              | _ -> fail "bad escape");
-              go ()
-            end
-        | c -> Buffer.add_char b c; go ()
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    while
-      !pos < len
-      &&
-      match line.[!pos] with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      advance ()
-    done;
-    let tok = String.sub line start (!pos - start) in
-    let is_int =
-      tok <> ""
-      && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') tok
-    in
-    if is_int then
-      match int_of_string_opt tok with
-      | Some i -> Int i
-      | None -> fail "integer out of range"
-    else
-      match float_of_string_opt tok with
-      | Some f -> Float f
-      | None -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let parse_literal word v =
-    if !pos + String.length word <= len
-       && String.sub line !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail "bad literal"
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> parse_literal "true" (Bool true)
-    | Some 'f' -> parse_literal "false" (Bool false)
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | _ -> fail "expected a JSON value"
-  in
-  let parse_object parse_member =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else
-      let rec members () =
-        let key = parse_string () in
-        expect ':';
-        parse_member key;
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); skip_ws (); members ()
-        | Some '}' -> advance ()
-        | _ -> fail "expected ',' or '}'"
+  match Jsonu.of_string line with
+  | Error e -> Result.Error (Jsonu.error_to_string e)
+  | Ok doc -> (
+      let req key conv what =
+        match Jsonu.member key doc with
+        | None -> raise (Bad (Printf.sprintf "missing %S" key))
+        | Some v -> (
+            match conv v with
+            | Some x -> x
+            | None -> raise (Bad (Printf.sprintf "%s must be %s" key what)))
       in
-      members ()
-  in
-  try
-    let run_id = ref None
-    and t_ns = ref None
-    and domain = ref None
-    and seq = ref None
-    and level = ref None
-    and stability = ref None
-    and slug = ref None
-    and span = ref None
-    and fields = ref None in
-    parse_object (fun key ->
-        match key with
-        | "run_id" -> run_id := Some (parse_string ())
-        | "t_ns" -> (
-            match parse_value () with
-            | Float f -> t_ns := Some f
-            | Int i -> t_ns := Some (float_of_int i)
-            | _ -> fail "t_ns must be a number")
-        | "domain" -> (
-            match parse_value () with
-            | Int i -> domain := Some i
-            | _ -> fail "domain must be an integer")
-        | "seq" -> (
-            match parse_value () with
-            | Int i -> seq := Some i
-            | _ -> fail "seq must be an integer")
-        | "level" -> (
-            match level_of_name (parse_string ()) with
-            | Some l -> level := Some l
-            | None -> fail "unknown level")
-        | "stability" -> (
-            match parse_string () with
-            | "stable" -> stability := Some Metrics.Stable
-            | "runtime" -> stability := Some Metrics.Runtime
-            | _ -> fail "unknown stability")
-        | "event" -> slug := Some (parse_string ())
-        | "span" -> span := Some (parse_string ())
-        | "fields" ->
-            let fs = ref [] in
-            parse_object (fun k -> fs := (k, parse_value ()) :: !fs);
-            fields := Some (List.rev !fs)
-        | _ -> ignore (parse_value ()));
-    skip_ws ();
-    if !pos <> len then fail "trailing content";
-    let req what = function
-      | Some v -> v
-      | None -> raise (Bad (Printf.sprintf "missing %S" what))
-    in
-    Ok
-      ( req "run_id" !run_id,
-        {
-          seq = req "seq" !seq;
-          t_ns = req "t_ns" !t_ns;
-          domain = req "domain" !domain;
-          level = req "level" !level;
-          stability = req "stability" !stability;
-          event = req "event" !slug;
-          span = !span;
-          fields = req "fields" !fields;
-        } )
-  with Bad msg -> Error msg
+      let str = Jsonu.to_string_opt in
+      try
+        let run_id = req "run_id" str "a string" in
+        let level =
+          req "level" (fun v -> Option.bind (str v) level_of_name) "a level name"
+        in
+        let stability =
+          req "stability"
+            (fun v ->
+              match str v with
+              | Some "stable" -> Some Metrics.Stable
+              | Some "runtime" -> Some Metrics.Runtime
+              | _ -> None)
+            "\"stable\" or \"runtime\""
+        in
+        let fields =
+          req "fields"
+            (function
+              | Jsonu.Obj fs ->
+                  Some (List.map (fun (k, v) -> (k, value_of_json k v)) fs)
+              | _ -> None)
+            "an object"
+        in
+        Ok
+          ( run_id,
+            {
+              seq = req "seq" Jsonu.to_int "an integer";
+              t_ns = req "t_ns" Jsonu.to_float "a number";
+              domain = req "domain" Jsonu.to_int "an integer";
+              level;
+              stability;
+              event = req "event" str "a string";
+              span =
+                (match Jsonu.member "span" doc with
+                | None -> None
+                | Some _ -> Some (req "span" str "a string"));
+              fields;
+            } )
+      with Bad msg -> Error msg)
 
 let stable_key e =
   let b = Buffer.create 96 in

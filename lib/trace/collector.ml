@@ -1,3 +1,5 @@
+module Ring = Telemetry.Ring
+
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 

@@ -5,7 +5,7 @@
    Pipeline.Evaluate for every benchmark and every block size. *)
 
 module Event = Trace.Event
-module Ring = Trace.Ring
+module Ring = Telemetry.Ring
 module Collector = Trace.Collector
 module Vcd = Trace.Vcd
 module Attribution = Trace.Attribution
@@ -47,7 +47,7 @@ let test_ring_wrap () =
 
 let test_ring_rejects_empty () =
   Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Trace.Ring.create: capacity < 1") (fun () ->
+    (Invalid_argument "Telemetry.Ring.create: capacity < 1") (fun () ->
       ignore (Ring.create ~capacity:0 ~dummy:(fetch ~time:0 ~pc:0 ~word:0)))
 
 (* ---- collector --------------------------------------------------------- *)
@@ -424,21 +424,88 @@ let test_attribution_sums_exact () =
         r.Evaluate.runs)
     (Workloads.scaled @ Workloads.extended)
 
+(* Every hand-rolled exporter must emit JSON the shared reader accepts,
+   with the names it embeds coming back byte for byte — quotes,
+   backslashes and control bytes included. *)
 let test_attribution_json_embeds () =
+  let parse what doc =
+    match Jsonu.of_string doc with
+    | Ok v -> v
+    | Error e ->
+        Alcotest.failf "%s: malformed JSON (%s)" what (Jsonu.error_to_string e)
+  in
+  let rec holds s = function
+    | Jsonu.Str x -> x = s
+    | Jsonu.Arr l -> List.exists (holds s) l
+    | Jsonu.Obj fs -> List.exists (fun (k, v) -> k = s || holds s v) fs
+    | _ -> false
+  in
+  let check what name doc =
+    check_bool (what ^ " keeps the name intact") true (holds name (parse what doc))
+  in
+  let nasty = "q\"b\\s\nc\001" in
   let a =
     Attribution.create ~labels:[| "k4" |] ~block_starts:[| 0 |]
       ~block_of_pc:(fun _ -> 0)
   in
   Attribution.record a ~pc:0 ~baseline:1 ~encoded:[| 1 |];
   Attribution.record a ~pc:0 ~baseline:2 ~encoded:[| 2 |];
-  let json = Attribution.to_json ~name:"t\"est" (Attribution.summarize a) in
-  check_bool "escapes the name" true
-    (let needle = "\"name\": \"t\\\"est\"" in
-     let nl = String.length needle and dl = String.length json in
-     let rec go i = i + nl <= dl && (String.sub json i nl = needle || go (i + 1)) in
-     go 0);
-  check_bool "object shaped" true
-    (json.[0] = '{' && json.[String.length json - 1] = '}')
+  check "attribution" "t\"est"
+    (Attribution.to_json ~name:"t\"est" (Attribution.summarize a));
+  let span = Event.Span { path = nasty; tid = 0; start_ns = 1e3; stop_ns = 2e3 } in
+  check "perfetto" ("transitions." ^ nasty)
+    (Trace.Perfetto.to_string ~encoded_names:[ nasty ]
+       [ span; fetch ~time:0 ~pc:0 ~word:1;
+         Event.Bus { time = 0; pc = 0; encoded = [| 1 |] } ]);
+  check "speedscope" nasty (Trace.Speedscope.to_string ~name:nasty [ span ]);
+  let module M = Telemetry.Metrics in
+  check "report" nasty
+    (Telemetry.Report.to_json
+       {
+         M.counters = [ (nasty, M.Stable, 3) ];
+         histograms = [ (nasty, M.Stable, [ (nasty, 1) ]) ];
+         gauges = [ (nasty, M.Runtime, [ (nasty, 2) ]) ];
+         spans = [ (nasty, { M.span_count = 1; total_ns = 5.; max_ns = 5. }) ];
+       });
+  let item = { Ledger.Sheet.count = 3; unit_j = 1e-12 } in
+  check "ledger sheet" "a \"quoted\" \\ name"
+    (Ledger.Sheet.to_json
+       {
+         Ledger.Sheet.name = "a \"quoted\" \\ name";
+         model = Ledger.Model.on_chip;
+         fetches = 10;
+         baseline_bus = item;
+         entries =
+           [
+             {
+               Ledger.Sheet.k = 4;
+               encoded_bus = item;
+               tt_reads = item;
+               bbit_probes = item;
+               gate_toggles = item;
+               reprogram_writes = item;
+             };
+           ];
+       });
+  check "fault campaign" nasty
+    (Fault.Campaign.to_json
+       {
+         Fault.Campaign.seed = 1;
+         requested = 1;
+         ks = [ 4 ];
+         benches = [ nasty ];
+         records =
+           [
+             {
+               Fault.Campaign.id = 0;
+               bench = nasty;
+               k = 4;
+               target = nasty;
+               outcome = Fault.Campaign.Trap { cause = nasty };
+             };
+           ];
+         totals = [ ("trap", 1) ];
+       })
 
 (* ---- evaluate emits trace events ---------------------------------------- *)
 
