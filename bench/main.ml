@@ -846,7 +846,7 @@ let throughput_sweep () =
   let campaign_config =
     { Fault.Campaign.seed = 7; injections; ks = [ 4; 5 ]; benches }
   in
-  (* 256 x 32 keeps the fan-out above the encoder's parallel threshold *)
+  (* 256 x 32; the encoder runs on the calling domain at every width *)
   let rows = 256 in
   let block_words =
     let st = ref 4242 in
@@ -956,9 +956,8 @@ let alloc_measurement = ref None
 
 let alloc_accounting () =
   section "Allocation: minor words per block encode (before/after)";
-  (* 24 x 32 = 768 bits sits under the parallel fan-out threshold, so both
-     paths run entirely on this domain and Gc.minor_words sees every word
-     they allocate *)
+  (* both paths run entirely on this domain, so Gc.minor_words sees every
+     word they allocate *)
   let block_words =
     let st = ref 991 in
     Array.init alloc_rows (fun _ ->

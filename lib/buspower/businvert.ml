@@ -18,18 +18,14 @@ let create ?(width = 32) () =
     total = 0;
   }
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let encode t word =
   if word < 0 || word land lnot t.mask <> 0 then
     invalid_arg "Businvert.encode: word wider than bus";
-  let flips = popcount (word lxor t.prev_bus) in
+  let flips = Bitutil.Popcount.count32 (word lxor t.prev_bus) in
   let invert = 2 * flips > t.width in
   let bus = if invert then lnot word land t.mask else word in
   if t.started then begin
-    t.total <- t.total + popcount (bus lxor t.prev_bus);
+    t.total <- t.total + Bitutil.Popcount.count32 (bus lxor t.prev_bus);
     if invert <> t.prev_invert then t.total <- t.total + 1
   end;
   t.prev_bus <- bus;

@@ -84,14 +84,13 @@ let decode_stream (b : backend) ~width codewords =
   List.iter (fun w -> out := w :: !out) (B.flush_decoder d);
   Array.of_list (List.rev !out)
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let transitions_with proj cws =
   let total = ref 0 in
   Array.iteri
-    (fun i cw -> if i > 0 then total := !total + popcount (proj cw lxor proj cws.(i - 1)))
+    (fun i cw ->
+      if i > 0 then
+        total :=
+          !total + Bitutil.Popcount.count (proj cw lxor proj cws.(i - 1)))
     cws;
   !total
 

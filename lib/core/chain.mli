@@ -26,8 +26,8 @@ val block_count : n:int -> k:int -> int
 
 (** [block_spans ~n ~k] lists the [(start, len)] extent of every block:
     starts are [0, k-1, 2(k-1), ...] and each block spans up to [k] bits,
-    its first bit shared with the previous block.  Exposed for the
-    per-line parallel encoder (code-table prefetching) and tests. *)
+    its first bit shared with the previous block.  Exposed for the bench
+    and tests. *)
 val block_spans : n:int -> k:int -> (int * int) list
 
 (** [encode_greedy ?subset_mask ~k stream] encodes with the paper's
@@ -45,8 +45,8 @@ val encode_greedy : ?subset_mask:int -> k:int -> Bitutil.Bitvec.t -> encoded
     ([Boolfun.index] of the selected transformation) at [taus.(toff) ..].
     Returns the number of blocks written ([block_count ~n ~k]).
 
-    Allocates nothing, so the per-line encoder can fan thousands of
-    streams over reused scratch arenas; distinct slices may be encoded
+    Allocates nothing, so the block encoder can run thousands of streams
+    through one reused scratch arena; distinct slices may be encoded
     concurrently from different domains.  Emits exactly the telemetry
     {!encode_greedy} does.  The caller guarantees each slice is large
     enough ([ceil(n/32)] words, [block_count] indices). *)

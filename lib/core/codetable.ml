@@ -54,45 +54,29 @@ let build ~subset_mask ~k =
   let standalone_entries = Solver.table ~subset_mask ~k () in
   { k; subset_mask; chained; chained_out; standalone_entries }
 
-(* The cache is shared by every domain of the parallel per-line encoder.
-   Reads are lock-free: the built tables live in an immutable list behind
-   an [Atomic], so the per-line hot path (one lookup per chain encode)
-   never contends on a mutex.  Only builds take the lock — redundant
-   concurrent builds would be pure waste, and the encoder prefetches its
-   tables before fanning out anyway, so workers only ever hit. *)
-let cache : (int * int * t) list Atomic.t = Atomic.make []
+(* Find-or-build memo keyed by (k, subset).  The TT backend looks tables
+   up from pool domains in the conformance differential, so the memo is
+   mutex-guarded. *)
+let cache : (int * int, t) Hashtbl.t = Hashtbl.create 16
 let cache_mutex = Mutex.create ()
 
-let rec cache_find k subset_mask = function
-  | [] -> None
-  | (k', m', t) :: rest ->
-      if k' = k && m' = subset_mask then Some t
-      else cache_find k subset_mask rest
-
 let get ?(subset_mask = Boolfun.full_mask) ~k () =
-  match cache_find k subset_mask (Atomic.get cache) with
-  | Some t ->
-      Metrics.incr Tel.codetable_hits;
-      t
-  | None ->
-      Mutex.lock cache_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock cache_mutex)
-        (fun () ->
-          (* Re-check under the lock: another domain may have published the
-             table while we were waiting. *)
-          match cache_find k subset_mask (Atomic.get cache) with
-          | Some t ->
-              Metrics.incr Tel.codetable_hits;
-              t
-          | None ->
-              Metrics.incr Tel.codetable_misses;
-              let t =
-                Metrics.with_span Tel.span_codetable_build (fun () ->
-                    build ~subset_mask ~k)
-              in
-              Atomic.set cache ((k, subset_mask, t) :: Atomic.get cache);
-              t)
+  Mutex.lock cache_mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock cache_mutex)
+    (fun () ->
+      match Hashtbl.find_opt cache (k, subset_mask) with
+      | Some t ->
+          Metrics.incr Tel.codetable_hits;
+          t
+      | None ->
+          Metrics.incr Tel.codetable_misses;
+          let t =
+            Metrics.with_span Tel.span_codetable_build (fun () ->
+                build ~subset_mask ~k)
+          in
+          Hashtbl.add cache (k, subset_mask) t;
+          t)
 
 let bool_to_int b = if b then 1 else 0
 

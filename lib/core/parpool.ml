@@ -4,8 +4,6 @@ module Log = Telemetry.Log
 
 let sequential_mode () = Sys.getenv_opt "POWERCODE_SEQ" = Some "1"
 
-(* Workers beyond ~8 stop paying for themselves on 32-line fan-outs and the
-   blocks are short; cap the pool rather than grabbing every core. *)
 let max_workers = 8
 
 (* POWERCODE_DOMAINS pins the *total* domain count (caller + workers) so
@@ -119,7 +117,6 @@ let the_pool = ref None
 let pool_mutex = Mutex.create ()
 
 (* Nested parallelism guard: a worker domain that calls [parallel_init]
-   (e.g. a fault-campaign injection whose rebuild encodes a large block)
    must not enqueue onto the pool it is itself draining — with every
    worker busy on outer chunks the inner job could wait forever.  Workers
    mark their domain and nested calls run sequentially; the outer fan-out

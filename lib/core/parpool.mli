@@ -1,10 +1,10 @@
 (** A small reusable domain pool for embarrassingly-parallel loops.
 
-    The 32 bus lines of a basic block encode independently, so the per-line
-    encoder fans each matrix out over a fixed set of worker domains.  The
-    pool is created lazily on first use, reused for every subsequent call
-    (spawning domains per block would dwarf the work), and torn down at
-    process exit.
+    The fault campaign's injections are independent experiments, so
+    [Fault.Campaign.run] fans them out over a fixed set of worker domains.
+    The pool is created lazily on first use, reused for every subsequent
+    call (spawning domains per call would dwarf the work), and torn down
+    at process exit.
 
     Sequential fallback: when [POWERCODE_SEQ=1] is set in the environment,
     when the effective worker count is zero, or when the caller asks for
@@ -47,7 +47,7 @@ val worker_count : unit -> int
     call from any domain.  The first exception raised by any [f i] is
     re-raised in the caller after all chunks settle.  Evaluation order
     across chunks is unspecified; each index is evaluated exactly once.
-    Calls made {e from} a pool worker domain (nested parallelism, e.g. a
-    block encode inside a parallel fault injection) run sequentially
-    rather than re-entering the pool they are draining. *)
+    Calls made {e from} a pool worker domain (nested parallelism: an [f]
+    that itself calls [parallel_init]) run sequentially rather than
+    re-entering the pool they are draining. *)
 val parallel_init : int -> (int -> 'a) -> 'a array

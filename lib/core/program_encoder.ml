@@ -24,18 +24,11 @@ type block_encoding = { encoded : Bitmat.t; entries : tt_entry array }
 
 let entries_needed ~k ~rows = Chain.block_count ~n:rows ~k
 
-(* Below this many matrix bits the per-line chains are too cheap to amortise
-   the pool handoff, so small blocks (the common case on compiled code)
-   encode sequentially.  128 instructions x 32 lines. *)
-let parallel_threshold_bits = 4096
-
 (* Per-domain scratch arena for the zero-alloc greedy path: the transposed
    input columns, the encoded columns, and the int-packed tau indices all
    live in three int arrays that grow to the largest block the domain has
-   seen and are reused for every subsequent encode.  Workers of a parallel
-   fan-out write disjoint slices, so sharing the caller's arena is safe;
-   each domain that *initiates* encodes (the main domain, or campaign
-   workers running rebuilds) gets its own arena via DLS. *)
+   seen and are reused for every subsequent encode.  Each domain that
+   encodes gets its own arena via DLS, so two domains may plan at once. *)
 type scratch = {
   mutable s_in : int array;
   mutable s_out : int array;
@@ -46,16 +39,6 @@ let scratch_key =
   Domain.DLS.new_key (fun () -> { s_in = [||]; s_out = [||]; s_taus = [||] })
 
 let ensure n arr = if Array.length arr >= n then arr else Array.make n 0
-
-let prefetch_tables config ~rows =
-  (* One table per distinct block length — the interior blocks all share
-     one — fetched sequentially so worker domains only ever read the
-     cache. *)
-  Chain.block_spans ~n:rows ~k:config.k
-  |> List.map snd
-  |> List.sort_uniq Int.compare
-  |> List.iter (fun len ->
-         ignore (Codetable.get ~subset_mask:config.subset_mask ~k:len ()))
 
 let build_entries config ~rows ~blocks line_taus =
   Array.init blocks (fun j ->
@@ -82,17 +65,10 @@ let encode_block config m =
   if config.optimal_chain then begin
     (* The DP ablation keeps the original column-at-a-time path: it is not
        on the hot loop and its inner structure does not fit the arena. *)
-    let encode_line b =
-      Chain.encode_optimal ~subset_mask:config.subset_mask ~k:config.k
-        (Bitmat.column m b)
-    in
     let per_line =
-      Metrics.with_span Tel.span_encode_fanout @@ fun () ->
-      if rows * width >= parallel_threshold_bits then begin
-        prefetch_tables config ~rows;
-        Parpool.parallel_init width encode_line
-      end
-      else Array.init width encode_line
+      Array.init width (fun b ->
+          Chain.encode_optimal ~subset_mask:config.subset_mask ~k:config.k
+            (Bitmat.column m b))
     in
     let encoded =
       Bitmat.of_columns (Array.map (fun e -> e.Chain.code) per_line)
@@ -108,34 +84,22 @@ let encode_block config m =
        every line in place (zero allocation per line), then rebuild the
        matrix and TT entries from the packed results. *)
     let wpc = Bitmat.column_words ~rows in
-    let scratch = Domain.DLS.get scratch_key in
-    scratch.s_in <- ensure (width * wpc) scratch.s_in;
-    scratch.s_out <- ensure (width * wpc) scratch.s_out;
-    scratch.s_taus <- ensure (width * blocks) scratch.s_taus;
-    let s_in = scratch.s_in
-    and s_out = scratch.s_out
-    and s_taus = scratch.s_taus in
-    Bitmat.transpose_into m s_in;
-    let encode_line b =
+    let s = Domain.DLS.get scratch_key in
+    s.s_in <- ensure (width * wpc) s.s_in;
+    s.s_out <- ensure (width * wpc) s.s_out;
+    s.s_taus <- ensure (width * blocks) s.s_taus;
+    Bitmat.transpose_into m s.s_in;
+    for b = 0 to width - 1 do
       ignore
         (Chain.encode_greedy_into ~subset_mask:config.subset_mask ~k:config.k
-           ~n:rows ~swords:s_in ~soff:(b * wpc) ~cwords:s_out ~coff:(b * wpc)
-           ~taus:s_taus ~toff:(b * blocks) ())
-    in
-    Metrics.with_span Tel.span_encode_fanout (fun () ->
-        if rows * width >= parallel_threshold_bits then begin
-          prefetch_tables config ~rows;
-          ignore (Parpool.parallel_init width encode_line)
-        end
-        else
-          for b = 0 to width - 1 do
-            encode_line b
-          done);
-    let encoded = Bitmat.of_column_words ~width ~rows s_out in
+           ~n:rows ~swords:s.s_in ~soff:(b * wpc) ~cwords:s.s_out
+           ~coff:(b * wpc) ~taus:s.s_taus ~toff:(b * blocks) ())
+    done;
+    let encoded = Bitmat.of_column_words ~width ~rows s.s_out in
     let entries =
       build_entries config ~rows ~blocks (fun j ->
           Array.init width (fun b ->
-              Boolfun.of_index s_taus.((b * blocks) + j)))
+              Boolfun.of_index s.s_taus.((b * blocks) + j)))
     in
     { encoded; entries }
   end

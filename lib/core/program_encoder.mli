@@ -43,14 +43,9 @@ val entries_needed : k:int -> rows:int -> int
     Decoding [encoded] with [entries] restores [m] exactly —
     see {!decode_block}.
 
-    The bus lines encode independently; blocks of at least
-    [parallel_threshold_bits] matrix bits fan the per-line chains out over
-    the {!Parpool} domain pool (set [POWERCODE_SEQ=1] to force the
-    sequential path — the result is bit-identical either way). *)
+    The bus lines encode one after another on the calling domain, in a
+    per-domain scratch arena, so several domains may encode at once. *)
 val encode_block : config -> Bitutil.Bitmat.t -> block_encoding
-
-(** Minimum [rows * width] for {!encode_block} to use the domain pool. *)
-val parallel_threshold_bits : int
 
 (** [decode_block ~k ~entries m] is the software reference decoder (the
     hardware model lives in the [hardware] library and must agree). *)

@@ -1,7 +1,3 @@
-let popcount m =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go m 0
-
 (* Mask of transformations achieving the unrestricted optimum for [word]:
    the union, over all minimum-transition feasible codes, of their
    consistent-transformation masks. *)
@@ -37,7 +33,7 @@ let all_minimal ~kmax =
   let best_size = ref 17 and found = ref [] in
   for subset = 1 to 0xffff do
     Telemetry.Metrics.incr Telemetry.Registry.subset_masks_tested;
-    let size = popcount subset in
+    let size = Bitutil.Popcount.count32 subset in
     if size <= !best_size && hits subset sets then
       if size < !best_size then begin
         best_size := size;

@@ -36,13 +36,10 @@ let create config ~image =
     memory_started = false;
   }
 
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
-
 let stream_word (t : t) w =
   if t.memory_started then
-    t.memory_transitions <- t.memory_transitions + popcount (w lxor t.memory_prev);
+    t.memory_transitions <-
+      t.memory_transitions + Bitutil.Popcount.count (w lxor t.memory_prev);
   t.memory_prev <- w;
   t.memory_started <- true;
   t.memory_words <- t.memory_words + 1

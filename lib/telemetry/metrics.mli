@@ -8,8 +8,8 @@
     CLI's [--stats] flag do).
 
     Counters and histograms are sharded over a small fixed set of atomic
-    cells indexed by the calling domain, so the per-line encoder's worker
-    domains never contend on one cache line; a total is the sum over
+    cells indexed by the calling domain, so the domain pool's workers
+    never contend on one cache line; a total is the sum over
     shards, which is order-independent — sequential ([POWERCODE_SEQ=1]) and
     parallel runs of the same workload report identical totals for every
     {!Stable} metric (asserted by [test/test_differential.ml]).

@@ -16,7 +16,7 @@ let encode_blocks =
     "encode.blocks"
 
 let encode_lines =
-  counter ~doc:"Per-line chain encodes fanned out by encode_block (32/block)"
+  counter ~doc:"Per-line chain encodes run by encode_block (32/block)"
     "encode.lines"
 
 let plan_blocks_considered =
@@ -341,10 +341,6 @@ let span_encode_plan =
 
 let span_encode_block =
   Metrics.span ~doc:"One Program_encoder.encode_block call" "encode.block"
-
-let span_encode_fanout =
-  Metrics.span ~doc:"Per-line chain encodes of one block (pool or inline)"
-    "encode.fanout"
 
 let span_codetable_build =
   Metrics.span ~doc:"Building one (k, subset) code table" "codetable.build"

@@ -129,5 +129,4 @@ val span_plan : Metrics.span
 val span_count : Metrics.span
 val span_encode_plan : Metrics.span
 val span_encode_block : Metrics.span
-val span_encode_fanout : Metrics.span
 val span_codetable_build : Metrics.span

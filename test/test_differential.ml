@@ -1,38 +1,23 @@
-(* Differential fuzz between the sequential (POWERCODE_SEQ=1) and parallel
-   encode paths.  The same random corpus must produce (a) bit-identical
-   encoded images and (b) identical telemetry totals for every Stable
-   metric — counters are sharded sums, so worker scheduling must not leak
-   into them.  Runtime metrics (cache hits, pool task counts, idle time)
-   describe how the run executed and legitimately differ between the two
-   paths; the stability class on each metric (see Telemetry.Registry) is
-   exactly the contract this test enforces. *)
+(* Differential between a sequential (POWERCODE_SEQ=1) and a multi-domain
+   fault campaign.  The same fixed-seed campaign must produce (a) a
+   byte-identical report and (b) identical telemetry totals for every
+   Stable metric — counters are sharded sums, so worker scheduling must
+   not leak into them.  Runtime metrics (cache hits, pool task counts,
+   idle time) describe how the run executed and legitimately differ
+   between the two paths; the stability class on each metric (see
+   Telemetry.Registry) is exactly the contract this test enforces. *)
 
 module Metrics = Telemetry.Metrics
-module Bitmat = Bitutil.Bitmat
-module PE = Powercode.Program_encoder
 
 let force_sequential b = Unix.putenv "POWERCODE_SEQ" (if b then "1" else "0")
 
-let random_matrix ~seed ~rows =
-  let state = ref seed in
-  let words =
-    Array.init rows (fun _ ->
-        state := !state lxor (!state lsl 13);
-        state := !state lxor (!state lsr 7);
-        state := !state lxor (!state lsl 17);
-        !state land 0xffffffff)
-  in
-  Bitmat.of_words ~width:32 words
-
-(* large enough that every corpus entry takes the pool fan-out path *)
-let big_rows = (PE.parallel_threshold_bits / 32) + 100
-
 let corpus =
-  [
-    (7919, PE.default_config ());
-    (104729, PE.default_config ~k:7 ());
-    (1299709, PE.default_config ~k:3 ());
-  ]
+  {
+    Fault.Campaign.seed = 11;
+    injections = 48;
+    ks = [ 4; 5 ];
+    benches = List.map (Workloads.by_name Workloads.scaled) [ "tri"; "sor" ];
+  }
 
 let stable_counters (f : Metrics.frozen) =
   List.filter_map
@@ -45,19 +30,14 @@ let stable_histograms (f : Metrics.frozen) =
       if st = Metrics.Stable then Some (name, buckets) else None)
     f.Metrics.histograms
 
-(* one pass over the corpus under fresh telemetry; returns the images and
+(* one cold campaign under fresh telemetry; returns the JSON report and
    the Stable slice of the frozen record *)
 let run_corpus () =
   Metrics.reset ();
-  let images =
-    List.map
-      (fun (seed, config) ->
-        let m = random_matrix ~seed ~rows:big_rows in
-        (PE.encode_block config m).PE.encoded |> Bitmat.words)
-      corpus
-  in
+  Pipeline.Evaluate.Plan_cache.clear ();
+  let report = Fault.Campaign.to_json (Fault.Campaign.run corpus) in
   let frozen = Metrics.freeze () in
-  (images, stable_counters frozen, stable_histograms frozen)
+  (report, stable_counters frozen, stable_histograms frozen)
 
 let with_telemetry f =
   Metrics.set_enabled true;
@@ -74,16 +54,10 @@ let histograms_t = Alcotest.(list (pair string (list (pair string int))))
 let test_images_and_stable_totals_match () =
   with_telemetry @@ fun () ->
   force_sequential true;
-  let images_seq, counters_seq, histograms_seq = run_corpus () in
+  let report_seq, counters_seq, histograms_seq = run_corpus () in
   force_sequential false;
-  let images_par, counters_par, histograms_par = run_corpus () in
-  List.iteri
-    (fun i (seq, par) ->
-      let seed, config = List.nth corpus i in
-      Alcotest.(check (array int))
-        (Printf.sprintf "image seed=%d k=%d" seed config.PE.k)
-        seq par)
-    (List.combine images_seq images_par);
+  let report_par, counters_par, histograms_par = run_corpus () in
+  Alcotest.(check string) "campaign report" report_seq report_par;
   Alcotest.check counters_t "stable counter totals" counters_seq counters_par;
   Alcotest.check histograms_t "stable histogram totals" histograms_seq
     histograms_par
@@ -102,13 +76,11 @@ let test_stable_totals_match_under_sampler () =
   Fun.protect ~finally:(fun () -> Telemetry.Sampler.stop sampler)
   @@ fun () ->
   force_sequential true;
-  let images_seq, counters_seq, histograms_seq = run_corpus () in
+  let report_seq, counters_seq, histograms_seq = run_corpus () in
   force_sequential false;
-  let images_par, counters_par, histograms_par = run_corpus () in
-  List.iter2
-    (fun seq par ->
-      Alcotest.(check (array int)) "image under sampler" seq par)
-    images_seq images_par;
+  let report_par, counters_par, histograms_par = run_corpus () in
+  Alcotest.(check string) "campaign report under sampler" report_seq
+    report_par;
   Alcotest.check counters_t "stable counter totals under sampler" counters_seq
     counters_par;
   Alcotest.check histograms_t "stable histogram totals under sampler"
@@ -129,11 +101,14 @@ let test_stable_totals_are_live () =
   force_sequential false;
   let _, counters, histograms = run_corpus () in
   let total name = List.assoc name counters in
-  Alcotest.(check int) "encode.blocks" (List.length corpus)
-    (total "encode.blocks");
-  Alcotest.(check int) "encode.lines" (32 * List.length corpus)
+  Alcotest.(check int) "fault.injections" corpus.Fault.Campaign.injections
+    (total "fault.injections");
+  Alcotest.(check bool) "the campaign ran on the pool" true
+    (Metrics.counter_total Telemetry.Registry.parpool_jobs > 0);
+  Alcotest.(check bool) "encode.blocks > 0" true (total "encode.blocks" > 0);
+  Alcotest.(check int) "encode.lines" (32 * total "encode.blocks")
     (total "encode.lines");
-  Alcotest.(check int) "chain.streams" (32 * List.length corpus)
+  Alcotest.(check int) "chain.streams" (total "encode.lines")
     (total "chain.streams");
   Alcotest.(check bool) "chain.code_blocks > 0" true
     (total "chain.code_blocks" > 0);
@@ -216,6 +191,8 @@ let test_log_lines_correlate () =
   Alcotest.(check bool) "some events carried span paths" true (!spanned > 0)
 
 let () =
+  (* a multi-domain pool on any host, single-core runners included *)
+  Unix.putenv "POWERCODE_DOMAINS" "3";
   Alcotest.run "differential"
     [
       ( "seq vs parallel",

@@ -1,7 +1,9 @@
-(* The per-line encoder fans out over a domain pool; these tests pin down
-   that the parallel and sequential (POWERCODE_SEQ=1) paths produce
-   bit-identical encodings, entry for entry, on matrices large enough to
-   take the parallel path. *)
+(* Encoding runs on the calling domain; the domain pool serves the fault
+   campaign.  These tests pin the pool contract (env toggles, width
+   pinning, exception propagation, per-slot gauges) and that encodes
+   running concurrently on several domains, each with its own scratch
+   arena and sharing the code-table memo, match a plain call bit for
+   bit. *)
 
 module Bitmat = Bitutil.Bitmat
 module PE = Powercode.Program_encoder
@@ -39,37 +41,24 @@ let check_same_encoding ~msg a b =
       check_int "count" ea.PE.count eb.PE.count)
     a.PE.entries
 
-(* rows * 32 comfortably above the parallel threshold *)
-let big_rows = (PE.parallel_threshold_bits / 32) + 100
+(* larger than any basic block of the compiled kernels (85 rows) *)
+let big_rows = 228
 
-let test_parallel_matches_sequential () =
+let test_roundtrip_big_block () =
   List.iter
-    (fun (seed, config) ->
-      let m = random_matrix ~seed ~rows:big_rows in
-      force_sequential false;
-      let par = PE.encode_block config m in
-      force_sequential true;
-      let seq = PE.encode_block config m in
-      force_sequential false;
-      check_same_encoding
-        ~msg:(Printf.sprintf "seed=%d k=%d" seed config.PE.k)
-        par seq)
+    (fun config ->
+      let m = random_matrix ~seed:4242 ~rows:big_rows in
+      let e = PE.encode_block config m in
+      let decoded =
+        PE.decode_block ~k:config.PE.k ~entries:e.PE.entries e.PE.encoded
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "roundtrip optimal_chain=%b" config.PE.optimal_chain)
+        (Bitmat.words m) (Bitmat.words decoded))
     [
-      (7919, PE.default_config ());
-      (104729, PE.default_config ~k:7 ());
-      (1299709, { (PE.default_config ()) with PE.optimal_chain = true });
+      PE.default_config ();
+      { (PE.default_config ()) with PE.optimal_chain = true };
     ]
-
-let test_parallel_decodes_back () =
-  let config = PE.default_config () in
-  let m = random_matrix ~seed:4242 ~rows:big_rows in
-  force_sequential false;
-  let e = PE.encode_block config m in
-  let decoded =
-    PE.decode_block ~k:config.PE.k ~entries:e.PE.entries e.PE.encoded
-  in
-  Alcotest.(check (array int)) "roundtrip" (Bitmat.words m)
-    (Bitmat.words decoded)
 
 let test_sequential_env_is_live () =
   force_sequential true;
@@ -107,19 +96,30 @@ let test_domains_env_pins_width () =
   with_domains "banana" (fun () ->
       check_int "garbage ignored" default (Parpool.worker_count ()))
 
-let test_domains_env_results_identical () =
-  (* the pool grows lazily; whatever width is pinned, encodings match *)
-  let config = PE.default_config () in
-  let m = random_matrix ~seed:60013 ~rows:big_rows in
-  force_sequential true;
-  let seq = PE.encode_block config m in
+let test_concurrent_encodes_agree () =
+  (* eight encodes at once on pinned widths, each domain growing its own
+     arena and looking tables up in the shared memo, equal one plain call *)
   force_sequential false;
   List.iter
-    (fun width ->
-      with_domains width (fun () ->
-          let par = PE.encode_block config m in
-          check_same_encoding ~msg:("domains=" ^ width) seq par))
-    [ "2"; "4"; "8" ]
+    (fun (seed, config) ->
+      let m = random_matrix ~seed ~rows:big_rows in
+      let plain = PE.encode_block config m in
+      List.iter
+        (fun width ->
+          with_domains width (fun () ->
+              Array.iteri
+                (fun i par ->
+                  check_same_encoding
+                    ~msg:(Printf.sprintf "domains=%s call %d k=%d" width i
+                            config.PE.k)
+                    plain par)
+                (Parpool.parallel_init 8 (fun _ -> PE.encode_block config m))))
+        [ "2"; "4" ])
+    [
+      (7919, PE.default_config ());
+      (104729, PE.default_config ~k:7 ());
+      (1299709, { (PE.default_config ()) with PE.optimal_chain = true });
+    ]
 
 let test_per_slot_gauges_sum_to_pool_totals () =
   (* acceptance pin: the per-slot busy/idle/task gauges partition the
@@ -138,8 +138,8 @@ let test_per_slot_gauges_sum_to_pool_totals () =
   with_domains "4" (fun () ->
       for seed = 1 to 3 do
         ignore
-          (PE.encode_block (PE.default_config ())
-             (random_matrix ~seed:(seed * 7919) ~rows:big_rows))
+          (Parpool.parallel_init 32 (fun i ->
+               Bitmat.words (random_matrix ~seed:((seed * 7919) + i) ~rows:64)))
       done);
   let sum g =
     let acc = ref 0 in
@@ -177,10 +177,8 @@ let () =
     [
       ( "encode_block",
         [
-          Alcotest.test_case "parallel = sequential" `Quick
-            test_parallel_matches_sequential;
-          Alcotest.test_case "parallel decodes back" `Quick
-            test_parallel_decodes_back;
+          Alcotest.test_case "228-row round trip" `Quick
+            test_roundtrip_big_block;
         ] );
       ( "parpool",
         [
@@ -193,7 +191,7 @@ let () =
           Alcotest.test_case "POWERCODE_DOMAINS pins width" `Quick
             test_domains_env_pins_width;
           Alcotest.test_case "pinned widths agree" `Quick
-            test_domains_env_results_identical;
+            test_concurrent_encodes_agree;
           Alcotest.test_case "per-slot gauges sum to pool totals" `Quick
             test_per_slot_gauges_sum_to_pool_totals;
         ] );

@@ -33,7 +33,6 @@ let expected_schema =
     ("encode.block", "span", "runtime");
     ("encode.block_bits", "histogram", "stable");
     ("encode.blocks", "counter", "stable");
-    ("encode.fanout", "span", "runtime");
     ("encode.lines", "counter", "stable");
     ("encode.plan", "span", "runtime");
     ("encode.tau_selected", "histogram", "stable");
