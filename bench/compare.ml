@@ -236,8 +236,8 @@ let check_sections base cur =
      - a plan-cache-warm prepare must be >= 1.3x faster than cold.  The
        cache serves the profiling and planning work from a lookup, so
        this holds on any core count and is always enforced.  (Full
-       evaluates are not floored: their counting pass is uncached and
-       dominates, so a whole-evaluate ratio would gate on noise.) *)
+       evaluates are not floored: the ratio is taken on the phase the
+       cache fronts.) *)
 let campaign_floor = 2.0
 let campaign_floor_min_cores = 4.0
 let warm_floor = 1.3

@@ -835,7 +835,9 @@ type throughput_leg = {
 let throughput_legs = ref []
 
 let throughput_sweep () =
-  section "Throughput sweep: fault campaign and block encode vs domain count";
+  section
+    "Throughput sweep: fault campaign vs domain count, block encode on the \
+     calling domain";
   let fast = Sys.getenv_opt "POWERCODE_FAST" = Some "1" in
   let benches =
     List.map
@@ -895,7 +897,7 @@ let throughput_sweep () =
   in
   throughput_legs := legs;
   Format.printf "%9s %8s | %12s %14s | %14s@." "requested" "domains"
-    "campaign (s)" "injections/s" "encode bits/s";
+    "campaign (s)" "injections/s" "caller bits/s";
   List.iter
     (fun l ->
       Format.printf "%9d %8d | %12.2f %14.0f | %14.3e@." l.requested_domains
@@ -903,7 +905,9 @@ let throughput_sweep () =
     legs;
   Format.printf
     "(cores here: %d; classification totals verified identical on every \
-     leg — the parallel campaign is a pure function of the seed.)@."
+     leg — the parallel campaign is a pure function of the seed.  The \
+     encoder never uses the pool, so caller bits/s is one domain's rate on \
+     every leg.)@."
     (Domain.recommended_domain_count ())
 
 (* ---- Plan cache: repeated evaluate, cold vs warm ---------------------------- *)
@@ -920,9 +924,8 @@ let plan_cache_sweep () =
     Unix.gettimeofday () -. t0
   in
   (* [prepare] is the phase the cache fronts (profile + block selection +
-     one plan per k); the counting pass of a full [evaluate] is uncached
-     and dominated by dynamic instruction count, so timing it here would
-     just measure noise.  Cold samples each clear the cache first; the
+     one plan per k), timed alone so the ratio measures the cache and
+     nothing else.  Cold samples each clear the cache first; the
      final clear is the baseline for the hit/miss counters, leaving the
      exact one-miss-three-hits pattern the gate diffs. *)
   let run () = ignore (Pipeline.Evaluate.prepare program) in

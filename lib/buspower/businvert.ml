@@ -39,6 +39,17 @@ let decode ~width (bus, invert) =
 
 let transitions t = t.total
 
+let history t =
+  t.prev_bus
+  lor (Bool.to_int t.prev_invert lsl t.width)
+  lor (Bool.to_int t.started lsl (t.width + 1))
+
+let resume t h =
+  t.prev_bus <- h land t.mask;
+  t.prev_invert <- (h lsr t.width) land 1 = 1;
+  t.started <- (h lsr (t.width + 1)) land 1 = 1;
+  t.total <- 0
+
 let reset t =
   t.prev_bus <- 0;
   t.prev_invert <- false;

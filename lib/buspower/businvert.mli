@@ -22,6 +22,16 @@ val decode : width:int -> int * bool -> int
 (** [transitions t] is the running total including the invert line. *)
 val transitions : t -> int
 
+(** [history t] packs the bus history — the last driven word, the invert
+    line, and whether any word was driven yet — into one int.  Encoders
+    with equal histories drive every later word identically. *)
+val history : t -> int
+
+(** [resume t h] restores a history taken by {!history} from an encoder of
+    the same width and zeroes the running total, so {!transitions} then
+    counts from that point on. *)
+val resume : t -> int -> unit
+
 (** [reset t] clears bus history and the running total. *)
 val reset : t -> unit
 

@@ -40,30 +40,46 @@ let create ~name ~model ~ks ~encoded_region =
 
 let popcount32 = Bitutil.Popcount.count32
 
-let record t ~pc ~baseline ~encoded =
+(* [count] fetches of [pc], each right after a fetch of [src_pc] that drove
+   [src_base] and [src_enc]; with [primed = false] they have no
+   predecessor (the first fetch of a run). *)
+let account t ~count ~primed ~src_pc ~src_base ~src_enc ~pc ~baseline
+    ~encoded =
   let n = Array.length t.ks in
-  if Array.length encoded <> n then
+  if Array.length encoded <> n || Array.length src_enc <> n then
     invalid_arg "Ledger.Meter.record: encoded word count <> ks";
-  if (not t.primed) || pc <> t.prev_pc + 1 then t.branches <- t.branches + 1;
-  let base_flips =
-    if t.primed then popcount32 (baseline lxor t.prev_base) else 0
-  in
-  t.baseline_trans <- t.baseline_trans + base_flips;
+  if (not primed) || pc <> src_pc + 1 then t.branches <- t.branches + count;
+  let base_flips = if primed then popcount32 (baseline lxor src_base) else 0 in
+  t.baseline_trans <- t.baseline_trans + (count * base_flips);
   for v = 0 to n - 1 do
-    let w = Array.unsafe_get encoded v in
-    if t.primed then
+    if primed then
       t.enc_trans.(v) <-
-        t.enc_trans.(v) + popcount32 (w lxor Array.unsafe_get t.prev_enc v);
-    Array.unsafe_set t.prev_enc v w;
+        t.enc_trans.(v)
+        + count
+          * popcount32 (Array.unsafe_get encoded v lxor Array.unsafe_get src_enc v);
     if t.encoded_region ~image:v ~pc then begin
-      t.tt_reads.(v) <- t.tt_reads.(v) + 1;
-      t.gate_toggles.(v) <- t.gate_toggles.(v) + base_flips
+      t.tt_reads.(v) <- t.tt_reads.(v) + count;
+      t.gate_toggles.(v) <- t.gate_toggles.(v) + (count * base_flips)
     end
   done;
+  t.fetches <- t.fetches + count
+
+let record_edge t ~count ~src ~pc ~baseline ~encoded =
+  match src with
+  | None ->
+      account t ~count ~primed:false ~src_pc:0 ~src_base:0 ~src_enc:encoded
+        ~pc ~baseline ~encoded
+  | Some (src_pc, src_base, src_enc) ->
+      account t ~count ~primed:true ~src_pc ~src_base ~src_enc ~pc ~baseline
+        ~encoded
+
+let record t ~pc ~baseline ~encoded =
+  account t ~count:1 ~primed:t.primed ~src_pc:t.prev_pc ~src_base:t.prev_base
+    ~src_enc:t.prev_enc ~pc ~baseline ~encoded;
+  Array.blit encoded 0 t.prev_enc 0 (Array.length encoded);
   t.prev_base <- baseline;
   t.prev_pc <- pc;
-  t.primed <- true;
-  t.fetches <- t.fetches + 1
+  t.primed <- true
 
 let fetches t = t.fetches
 let baseline_transitions t = t.baseline_trans

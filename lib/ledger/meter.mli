@@ -1,6 +1,7 @@
-(** Streaming per-component energy accounting over one counting run.
+(** Per-component energy accounting over one program run.
 
-    Fed one call per dynamic instruction fetch — exactly like
+    Fed one call per dynamic instruction fetch ({!record}) or one call per
+    weighted fetch edge ({!record_edge}) — exactly like
     {!Trace.Attribution}, and deliberately independent of it — a meter
     maintains integer event counters for every ledger component:
 
@@ -34,9 +35,26 @@ val create :
   encoded_region:(image:int -> pc:int -> bool) ->
   t
 
-(** [record t ~pc ~baseline ~encoded] accounts one fetch.  [encoded] must
-    have one word per entry of [ks] (raises [Invalid_argument]). *)
+(** [record t ~pc ~baseline ~encoded] accounts one fetch, after the one
+    recorded before it.  [encoded] must have one word per entry of [ks]
+    (raises [Invalid_argument]). *)
 val record : t -> pc:int -> baseline:int -> encoded:int array -> unit
+
+(** [record_edge t ~count ~src ~pc ~baseline ~encoded] accounts [count]
+    fetches of [pc], each right after a fetch of [src = Some (src_pc,
+    src_baseline, src_encoded)]; [src = None] is the first fetch of the
+    run, which has no predecessor.  Summed over a run's fetch edges (plus
+    its first fetch) this gives exactly the counts of {!record} over the
+    same run.  It neither reads nor moves the previous-fetch state that
+    {!record} keeps, so feed one meter through one entry point only. *)
+val record_edge :
+  t ->
+  count:int ->
+  src:(int * int * int array) option ->
+  pc:int ->
+  baseline:int ->
+  encoded:int array ->
+  unit
 
 (** [fetches t] — fetches recorded so far. *)
 val fetches : t -> int

@@ -49,9 +49,8 @@ type report = {
 
 exception Verification_failed of { pc : int; expected : int; got : int }
 
-(* The counting run touches every fetch for every image, so this is the hot
-   path of the whole harness; the 16-bit table lives in Bitutil.Popcount,
-   shared with the bit-vector word operations. *)
+(* Counting costs one popcount per fetch edge and image, and the replay
+   one per fetch and image when it prices a stateful bus. *)
 let popcount32 = Bitutil.Popcount.count32
 
 let candidate_of_block words profile (b : Cfg.Block.t) =
@@ -387,6 +386,10 @@ let fetch_path_backends () =
       && (B.cost ~width:32).Buspower.Encoder.latency_words = 0)
     (Buspower.Encoder.all ())
 
+let scheme_name b =
+  let module B = (val b : Buspower.Encoder.S) in
+  B.scheme
+
 (* [None]: every region stays TT; [Some (`Choose alts)]: per-region
    scored choice among [alts], TT unless strictly cheaper; [Some
    (`Force b)]: every region takes [b] regardless of score. *)
@@ -396,11 +399,7 @@ let resolve_scheme = function
   | `Fixed name -> (
       let eligible = fetch_path_backends () in
       match
-        List.find_opt
-          (fun b ->
-            let module B = (val b : Buspower.Encoder.S) in
-            String.equal B.scheme name)
-          eligible
+        List.find_opt (fun b -> String.equal (scheme_name b) name) eligible
       with
       | Some b -> Some (`Force b)
       | None ->
@@ -409,12 +408,7 @@ let resolve_scheme = function
                "Pipeline.Evaluate: %S is not a fetch-path scheme (want tt, \
                 auto, or one of: %s)"
                name
-               (String.concat ", "
-                  (List.map
-                     (fun b ->
-                       let module B = (val b : Buspower.Encoder.S) in
-                       B.scheme)
-                     eligible))))
+               (String.concat ", " (List.map scheme_name eligible))))
 
 (* One encoded region of one k-plan, with everything scoring needs. *)
 type region = {
@@ -435,16 +429,22 @@ type alt_runtime = {
   mutable art_fetches : int;
 }
 
-(* Per-evaluation auto-selector state, one slot per k-image. *)
-type auto_state = {
-  as_region_of_pc : int array array;  (* pc -> encoded-region index or -1 *)
-  as_alt : alt_runtime option array array;  (* region -> non-TT choice *)
-  as_totals : int array;  (* exact mixed-bus transitions *)
-  as_prev_data : int array;
-  as_prev_aux : int array;
-  as_tt_fetches : int array;  (* fetches in regions left TT *)
-  mutable as_first : bool;
-}
+let alt_runtime b =
+  let module B = (val b : Buspower.Encoder.S) in
+  let e = B.encoder ~width:32 in
+  let c = B.cost ~width:32 in
+  {
+    art_scheme = B.scheme;
+    art_step =
+      (fun w ->
+        match B.encode e w with
+        | [ cw ] -> cw
+        | _ ->
+            failwith "Pipeline.Evaluate: latency-0 backend emitted <> 1 codeword");
+    art_reads_per_fetch = c.Buspower.Encoder.reads_per_fetch;
+    art_table_words = (c.Buspower.Encoder.table_bits + 31) / 32;
+    art_fetches = 0;
+  }
 
 (* Conservative static score, in joules per program run: weighted encoded
    stream transitions (plus a worst-case full-bus seam each traversal for
@@ -485,6 +485,444 @@ let choose_backend ~alts ~model ~per_t ~words (rg : region) =
     alts;
   (!best, List.rev !scores)
 
+(* -------------------------------------------------------------------- *)
+(* The stages after planning: pick a scheme per region, count, replay when
+   a consumer needs the fetch stream, account. *)
+
+(* One planned block size with the maps counting and replay share: the
+   stored image and, per pc, the encoded region it lies in.  A block's head
+   may be covered only partially when the TT ran short, so extents come
+   from the encoding actually patched into the image, not the candidate
+   body. *)
+type image = {
+  im_k : int;
+  im_plan : Powercode.Program_encoder.plan;
+  im_system : Hardware.Reprogram.system;
+  im_words : int array;
+  im_regions : region array;
+  im_region_of_pc : int array;  (* pc -> index into [im_regions], or -1 *)
+}
+
+let image_of_prepared npc p =
+  let regions =
+    Array.of_list
+      (List.filter_map
+         (fun pl ->
+           match pl.Powercode.Program_encoder.encoding with
+           | None -> None
+           | Some enc ->
+               Some
+                 {
+                   rg_start = pl.Powercode.Program_encoder.cand.start_index;
+                   rg_len =
+                     Bitutil.Bitmat.rows enc.Powercode.Program_encoder.encoded;
+                   rg_weight = pl.Powercode.Program_encoder.cand.weight;
+                   rg_tt_static =
+                     Bitutil.Bitmat.transitions
+                       enc.Powercode.Program_encoder.encoded;
+                 })
+         p.prep_plan.Powercode.Program_encoder.placements)
+  in
+  let region_of_pc = Array.make npc (-1) in
+  Array.iteri
+    (fun ri rg ->
+      for pc = rg.rg_start to min (npc - 1) (rg.rg_start + rg.rg_len - 1) do
+        region_of_pc.(pc) <- ri
+      done)
+    regions;
+  {
+    im_k = p.prep_k;
+    im_plan = p.prep_plan;
+    im_system = p.prep_system;
+    im_words = p.prep_system.Hardware.Reprogram.image;
+    im_regions = regions;
+    im_region_of_pc = region_of_pc;
+  }
+
+(* Per image and region, the backend the region takes ([None]: TT), with
+   one [scheme.region] event per region: the scored slate, the winner, and
+   whether the choice was forced rather than scored. *)
+let pick_schemes sel ~model ~words images =
+  let per_t = Buspower.Energy.per_transition model.Ledger.Model.bus in
+  let region_event ~k ~forced rg winner scores =
+    Log.info "scheme.region"
+      ([
+         ("k", Log.Int k);
+         ("start", Log.Int rg.rg_start);
+         ("len", Log.Int rg.rg_len);
+         ("weight", Log.Int rg.rg_weight);
+         ("winner", Log.Str winner);
+         ("forced", Log.Bool forced);
+       ]
+      @ List.map (fun (s, v) -> ("cost_" ^ s, Log.Float v)) scores)
+  in
+  let pick ~k rg =
+    match sel with
+    | `Force b ->
+        if Log.enabled () then region_event ~k ~forced:true rg (scheme_name b) [];
+        Some b
+    | `Choose alts ->
+        let winner, scores = choose_backend ~alts ~model ~per_t ~words rg in
+        if Log.enabled () then
+          region_event ~k ~forced:false rg
+            (match winner with None -> "tt" | Some b -> scheme_name b)
+            scores;
+        winner
+  in
+  Array.map (fun im -> Array.map (pick ~k:im.im_k) im.im_regions) images
+
+let reduction_pct ~baseline transitions =
+  if baseline = 0 then 0.0
+  else 100.0 *. (1.0 -. (float_of_int transitions /. float_of_int baseline))
+
+(* The mixed bus of one image under the selection: data plus the chosen
+   backends' redundant lines. *)
+type mixed = {
+  mx_transitions : int;
+  mx_tt_fetches : int;  (* fetches in regions left TT *)
+  mx_alts : alt_runtime option array;  (* per region; [None]: TT *)
+}
+
+(* The replay: a second CPU run, driving only the consumers that need the
+   fetch stream itself — trace events, fetch-path verification, and a
+   mixed bus with a non-TT region (its encoder is stateful, and the aux
+   lines hold their value across TT and unencoded fetches).  Returns the
+   fetches each image's decoder verified and, given [stateful] picks, each
+   image's mixed bus. *)
+let replay program ~profile ~blocks ~pc_block ~verify ~stateful images =
+  let words = Isa.Program.words program in
+  let nimg = Array.length images in
+  let pc_is_start = Array.make (Array.length words) false in
+  Array.iter (fun (b : Cfg.Block.t) -> pc_is_start.(b.start) <- true) blocks;
+  let decoders =
+    if verify then Array.map (fun im -> Hardware.Reprogram.decoder im.im_system) images
+    else [||]
+  in
+  let verified = Array.make nimg 0 in
+  let alts = Option.map (Array.map (Array.map (Option.map alt_runtime))) stateful in
+  let mixed_totals = Array.make nimg 0 and tt_fetches = Array.make nimg 0 in
+  let prev_data = Array.make nimg 0 and prev_aux = Array.make nimg 0 in
+  let first = ref true in
+  let on_fetch ~pc =
+    let w = Array.unsafe_get words pc in
+    (* the ring retains each event's word array, so it is fresh per fetch *)
+    if Trace.Collector.enabled () then begin
+      let enc = Array.map (fun im -> im.im_words.(pc)) images in
+      let time = Trace.Collector.now () in
+      Trace.Collector.emit (Trace.Event.Bus { time; pc; encoded = enc });
+      if pc_is_start.(pc) then
+        Trace.Collector.emit
+          (Trace.Event.Block_entry { time; pc; block = pc_block.(pc) })
+    end;
+    Option.iter
+      (fun alts ->
+        for v = 0 to nimg - 1 do
+          let im = images.(v) in
+          let r = im.im_region_of_pc.(pc) in
+          let data, aux =
+            match if r >= 0 then alts.(v).(r) else None with
+            | Some art ->
+                art.art_fetches <- art.art_fetches + 1;
+                let cw = art.art_step w in
+                (cw.Buspower.Encoder.data, cw.Buspower.Encoder.aux)
+            | None ->
+                if r >= 0 then tt_fetches.(v) <- tt_fetches.(v) + 1;
+                (im.im_words.(pc), prev_aux.(v))
+          in
+          if not !first then
+            mixed_totals.(v) <-
+              mixed_totals.(v)
+              + popcount32 (data lxor prev_data.(v))
+              + popcount32 (aux lxor prev_aux.(v));
+          prev_data.(v) <- data;
+          prev_aux.(v) <- aux
+        done;
+        first := false)
+      alts;
+    if verify then
+      Array.iteri
+        (fun v dec ->
+          let _bus, decoded = Hardware.Fetch_decoder.fetch dec ~pc in
+          if decoded <> w then
+            raise (Verification_failed { pc; expected = w; got = decoded });
+          verified.(v) <- verified.(v) + 1)
+        decoders
+  in
+  let result = Machine.Cpu.run ~on_fetch program (Machine.Cpu.create_state ()) in
+  if result.Machine.Cpu.instructions <> Cfg.Profile.total profile then
+    failwith
+      (Printf.sprintf "Pipeline.Evaluate: replay fetched %d instructions, profile %d"
+         result.Machine.Cpu.instructions (Cfg.Profile.total profile));
+  let mixed =
+    Option.map
+      (Array.mapi (fun v mx_alts ->
+           { mx_transitions = mixed_totals.(v); mx_tt_fetches = tt_fetches.(v); mx_alts }))
+      alts
+  in
+  (verified, mixed)
+
+(* What the count stage hands to accounting, per image where an array. *)
+type counted = {
+  baseline : int;  (* baseline-image bus transitions *)
+  totals : int array;
+  region_fetches : int array;  (* fetches inside encoded regions *)
+  meter : Ledger.Meter.t option;
+  attr : Trace.Attribution.t option;
+  verified : int array;  (* zeros without [verify] *)
+  mixed : mixed array;
+}
+
+(* The count stage.  Each image's transitions, the ledger meter, the
+   attribution tables and an all-TT mixed bus are sums over the profile's
+   fetch edges; the replay runs only for the consumers [replay] names. *)
+let count ~name ~ledger ~attribution ~verify ~picks program ctx images =
+  let { profile; blocks; _ } = ctx in
+  let words = Isa.Program.words program in
+  let npc = Array.length words in
+  let edges = Cfg.Profile.edges profile in
+  let transitions w =
+    Array.fold_left
+      (fun acc (e : Cfg.Profile.edge) ->
+        acc + (e.count * popcount32 (w.(e.src) lxor w.(e.dst))))
+      0 edges
+  in
+  (* [f ~count ~src ~pc] for the run's first fetch (pc 0, no predecessor)
+     and then once per fetch edge *)
+  let iter_fetches f =
+    if Cfg.Profile.total profile > 0 then f ~count:1 ~src:None ~pc:0;
+    Array.iter
+      (fun (e : Cfg.Profile.edge) -> f ~count:e.count ~src:(Some e.src) ~pc:e.dst)
+      edges
+  in
+  let enc_at pc = Array.map (fun im -> im.im_words.(pc)) images in
+  let in_region v pc = images.(v).im_region_of_pc.(pc) >= 0 in
+  let meter =
+    Option.map
+      (fun model ->
+        let m =
+          Ledger.Meter.create ~name ~model
+            ~ks:(Array.map (fun im -> im.im_k) images)
+            ~encoded_region:(fun ~image ~pc -> in_region image pc)
+        in
+        iter_fetches (fun ~count ~src ~pc ->
+            Ledger.Meter.record_edge m ~count
+              ~src:(Option.map (fun s -> (s, words.(s), enc_at s)) src)
+              ~pc ~baseline:words.(pc) ~encoded:(enc_at pc));
+        m)
+      ledger
+  in
+  let pc_block = Array.make npc (-1) in
+  Array.iteri
+    (fun bi (b : Cfg.Block.t) ->
+      for pc = b.start to min (npc - 1) (b.start + b.len - 1) do
+        pc_block.(pc) <- bi
+      done)
+    blocks;
+  let attr =
+    if not attribution then None
+    else begin
+      let a =
+        Trace.Attribution.create
+          ~labels:(Array.map (fun im -> "k" ^ string_of_int im.im_k) images)
+          ~block_starts:(Array.map (fun (b : Cfg.Block.t) -> b.start) blocks)
+          ~block_of_pc:(fun pc -> if pc >= 0 && pc < npc then pc_block.(pc) else -1)
+      in
+      iter_fetches (fun ~count ~src ~pc ->
+          Trace.Attribution.record_edge a ~count
+            ~src:(Option.map (fun s -> (words.(s), enc_at s)) src)
+            ~pc ~baseline:words.(pc) ~encoded:(enc_at pc));
+      Some a
+    end
+  in
+  let totals = Array.map (fun im -> transitions im.im_words) images in
+  let region_fetches =
+    Array.mapi
+      (fun v _ ->
+        let n = ref 0 in
+        for pc = 0 to npc - 1 do
+          if in_region v pc then n := !n + Cfg.Profile.instruction_count profile pc
+        done;
+        !n)
+      images
+  in
+  let stateful =
+    match picks with
+    | Some p when Array.exists (Array.exists Option.is_some) p -> Some p
+    | _ -> None
+  in
+  let verified, replayed =
+    if verify || Trace.Collector.enabled () || stateful <> None then
+      replay program ~profile ~blocks ~pc_block ~verify ~stateful images
+    else (Array.make (Array.length images) 0, None)
+  in
+  let mixed =
+    match replayed with
+    | Some mixed -> mixed
+    | None ->
+        (* every region stays TT: the mixed bus is the stored image *)
+        Array.mapi
+          (fun v im ->
+            {
+              mx_transitions = totals.(v);
+              mx_tt_fetches = region_fetches.(v);
+              mx_alts = Array.map (fun _ -> None) im.im_regions;
+            })
+          images
+  in
+  { baseline = transitions words; totals; region_fetches; meter; attr; verified; mixed }
+
+(* Under [scheme] ([`Auto] or [`Fixed]), the committed selection of one
+   image and its energy, against every region TT. *)
+let scheme_run ~scheme ~scheme_alts ~model ~baseline ~tt_transitions
+    ~region_fetches im (mx : mixed) =
+  let fl = float_of_int in
+  let per_t = Buspower.Energy.per_transition model.Ledger.Model.bus in
+  let alt_read_j = ref 0.0 in
+  Array.iter
+    (function
+      | Some art ->
+          alt_read_j :=
+            !alt_read_j
+            +. (fl (art.art_fetches * art.art_reads_per_fetch)
+               *. model.Ledger.Model.tt_read_j)
+            +. (fl art.art_table_words *. model.Ledger.Model.table_write_j)
+      | None -> ())
+    mx.mx_alts;
+  let tt_energy_j =
+    (fl tt_transitions *. per_t)
+    +. (fl region_fetches *. model.Ledger.Model.tt_read_j)
+  in
+  let auto_energy_j =
+    (fl mx.mx_transitions *. per_t)
+    +. (fl mx.mx_tt_fetches *. model.Ledger.Model.tt_read_j)
+    +. !alt_read_j
+  in
+  (* Commit rule: an [`Auto] selection that measured worse than all-TT is
+     discarded, so auto never reports higher energy than TT.  A [`Fixed]
+     override is honoured as-is and reports honest (possibly worse)
+     numbers. *)
+  let reverted =
+    (match scheme with `Auto -> true | `Tt | `Fixed _ -> false)
+    && auto_energy_j > tt_energy_j
+  in
+  if Log.enabled () then
+    Log.info "scheme.commit"
+      [
+        ("k", Log.Int im.im_k);
+        ("auto_energy_j", Log.Float auto_energy_j);
+        ("tt_energy_j", Log.Float tt_energy_j);
+        ("reverted", Log.Bool reverted);
+      ];
+  let choice_of ri rg =
+    let rc_scheme =
+      if reverted then "tt"
+      else match mx.mx_alts.(ri) with Some art -> art.art_scheme | None -> "tt"
+    in
+    { rc_start = rg.rg_start; rc_len = rg.rg_len; rc_weight = rg.rg_weight; rc_scheme }
+  in
+  let choices = Array.to_list (Array.mapi choice_of im.im_regions) in
+  let counts =
+    let tally s = List.length (List.filter (fun c -> String.equal c.rc_scheme s) choices) in
+    let alt_list =
+      match scheme_alts with `Choose alts -> alts | `Force b -> [ b ]
+    in
+    ("tt", tally "tt")
+    :: List.filter_map
+         (fun b ->
+           let s = scheme_name b in
+           match tally s with 0 -> None | n -> Some (s, n))
+         alt_list
+  in
+  let auto_transitions = if reverted then tt_transitions else mx.mx_transitions in
+  {
+    srun_k = im.im_k;
+    choices;
+    scheme_counts = counts;
+    auto_transitions;
+    auto_reduction_pct = reduction_pct ~baseline auto_transitions;
+    auto_energy_j = (if reverted then tt_energy_j else auto_energy_j);
+    tt_energy_j;
+    reverted;
+  }
+
+(* The account stage: runs, scheme runs and the priced ledger. *)
+let account ~name ~scheme ~scheme_alts ~model ctx images (c : counted) =
+  let { profile; hot_blocks; _ } = ctx in
+  let baseline = c.baseline in
+  let coverage_pct =
+    if Array.length images = 0 then 0.0
+    else
+      let encoded (b : Cfg.Block.t) =
+        Array.exists (fun rg -> rg.rg_start = b.start) images.(0).im_regions
+      in
+      100.0 *. Cfg.Profile.coverage profile (List.filter encoded hot_blocks)
+  in
+  let runs =
+    Array.mapi
+      (fun v im ->
+        {
+          k = im.im_k;
+          transitions = c.totals.(v);
+          reduction_pct = reduction_pct ~baseline c.totals.(v);
+          tt_used = im.im_plan.Powercode.Program_encoder.tt_used;
+          blocks_encoded = Array.length im.im_regions;
+          verified_fetches = c.verified.(v);
+        })
+      images
+  in
+  let schemes =
+    match scheme_alts with
+    | None -> [||]
+    | Some scheme_alts ->
+        Array.mapi
+          (fun v im ->
+            scheme_run ~scheme ~scheme_alts ~model ~baseline
+              ~tt_transitions:c.totals.(v) ~region_fetches:c.region_fetches.(v)
+              im c.mixed.(v))
+          images
+  in
+  let ledger =
+    Option.map
+      (fun m ->
+        (* Conservation: the meter accumulates bus transitions independently
+           of the edge sums above; any disagreement means one side is
+           broken, and a ledger built on it would lie. *)
+        if Ledger.Meter.baseline_transitions m <> baseline then
+          failwith
+            (Printf.sprintf
+               "Pipeline.Evaluate: ledger baseline transitions %d <> counted %d"
+               (Ledger.Meter.baseline_transitions m)
+               baseline);
+        Array.iteri
+          (fun v total ->
+            if Ledger.Meter.encoded_transitions m v <> total then
+              failwith
+                (Printf.sprintf
+                   "Pipeline.Evaluate: ledger image %d transitions %d <> counted %d"
+                   v
+                   (Ledger.Meter.encoded_transitions m v)
+                   total))
+          c.totals;
+        Ledger.Meter.finalize m
+          ~reprogram_writes:
+            (Array.map
+               (fun im -> Hardware.Reprogram.programming_writes im.im_system)
+               images))
+      c.meter
+  in
+  {
+    name;
+    instructions = Cfg.Profile.total profile;
+    baseline_transitions = baseline;
+    businvert_transitions = Cfg.Profile.businvert_transitions profile;
+    runs = Array.to_list runs;
+    coverage_pct;
+    output = Cfg.Profile.output profile;
+    attribution = Option.map Trace.Attribution.summarize c.attr;
+    ledger;
+    schemes = Array.to_list schemes;
+  }
+
 let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
     ?(optimal_chain = false) ?(selection = `Hot_blocks) ?(scheme = `Tt)
     ?(verify = false) ?(attribution = false) ?ledger ~name program =
@@ -499,507 +937,34 @@ let evaluate ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask
     context_and_plans ~ks ~tt_capacity ~subset_mask ~optimal_chain ~selection
       ~scheme program
   in
-  let { profile; blocks; hot_blocks; _ } = ctx in
-  (* plans and decode systems, one per block size *)
-  let systems =
-    List.map
-      (fun p -> (p.prep_k, p.prep_plan, p.prep_system))
-      (systems_of_plans ~tt_capacity ctx program plans)
-  in
-  let coverage_pct =
-    match systems with
-    | [] -> 0.0
-    | (_, plan, _) :: _ ->
-        let encoded_starts =
-          List.filter_map
-            (fun p ->
-              if p.Powercode.Program_encoder.encoding <> None then
-                Some p.Powercode.Program_encoder.cand.start_index
-              else None)
-            plan.Powercode.Program_encoder.placements
-        in
-        let subset =
-          List.filter
-            (fun (b : Cfg.Block.t) -> List.mem b.start encoded_starts)
-            hot_blocks
-        in
-        100.0 *. Cfg.Profile.coverage profile subset
-  in
-  (* pass 2: one counting run over all images at once *)
   let images =
     Array.of_list
-      (List.map (fun (_, _, s) -> s.Hardware.Reprogram.image) systems)
+      (List.map
+         (image_of_prepared (Array.length words))
+         (systems_of_plans ~tt_capacity ctx program plans))
   in
-  let nimg = Array.length images in
-  let totals = Array.make nimg 0 in
-  let prevs = Array.make nimg 0 in
-  let baseline_total = ref 0 in
-  let baseline_prev = ref 0 in
-  let businvert = Buspower.Businvert.create ~width:32 () in
-  let decoders =
-    if verify then
-      Array.of_list
-        (List.map (fun (_, _, s) -> Hardware.Reprogram.decoder s) systems)
-    else [||]
+  (* scheme selection is scored against the ledger model when one is
+     passed *)
+  let model = Option.value ledger ~default:Ledger.Model.on_chip in
+  let picks =
+    Option.map (fun sel -> pick_schemes sel ~model ~words images) scheme_alts
   in
-  let verified = Array.make nimg 0 in
-  (* pc -> basic-block index and block-entry flag, for attribution and for
-     Block_entry trace events (O(1) per fetch) *)
-  let npc = Array.length words in
-  let pc_block = Array.make npc (-1) in
-  let pc_is_start = Array.make npc false in
-  Array.iteri
-    (fun bi (b : Cfg.Block.t) ->
-      if b.Cfg.Block.start < npc then pc_is_start.(b.Cfg.Block.start) <- true;
-      for pc = b.Cfg.Block.start to min (npc - 1) (b.Cfg.Block.start + b.Cfg.Block.len - 1) do
-        pc_block.(pc) <- bi
-      done)
-    blocks;
-  (* per-image map of pcs stored encoded (a block's head may be covered
-     only partially when the TT ran short, so extents come from the
-     encoding actually patched into the image, not the candidate body);
-     shared by the ledger meter and the scheme auto-selector *)
-  let encoded_regions_of plan =
-    List.filter_map
-      (fun p ->
-        match p.Powercode.Program_encoder.encoding with
-        | None -> None
-        | Some enc ->
-            Some
-              {
-                rg_start = p.Powercode.Program_encoder.cand.start_index;
-                rg_len =
-                  Bitutil.Bitmat.rows enc.Powercode.Program_encoder.encoded;
-                rg_weight = p.Powercode.Program_encoder.cand.weight;
-                rg_tt_static =
-                  Bitutil.Bitmat.transitions
-                    enc.Powercode.Program_encoder.encoded;
-              })
-      plan.Powercode.Program_encoder.placements
+  let counted =
+    Metrics.with_span Tel.span_count @@ fun () ->
+    gc_phase gc_count_phase @@ fun () ->
+    count ~name ~ledger ~attribution ~verify ~picks program ctx images
   in
-  let regions =
-    Array.of_list (List.map (fun (_, plan, _) -> encoded_regions_of plan) systems)
-  in
-  let encoded_pc =
-    lazy
-      (Array.map
-         (fun rgs ->
-           let map = Array.make npc false in
-           List.iter
-             (fun rg ->
-               for pc = rg.rg_start to min (npc - 1) (rg.rg_start + rg.rg_len - 1)
-               do
-                 map.(pc) <- true
-               done)
-             rgs;
-           map)
-         regions)
-  in
-  let meter =
-    match ledger with
-    | None -> None
-    | Some model ->
-        let encoded_pc = Lazy.force encoded_pc in
-        Some
-          (Ledger.Meter.create ~name ~model
-             ~ks:(Array.of_list (List.map (fun (k, _, _) -> k) systems))
-             ~encoded_region:(fun ~image ~pc ->
-               pc >= 0 && pc < npc && encoded_pc.(image).(pc)))
-  in
-  (* Scheme auto-selection: score each encoded region against the
-     fetch-path alternatives, then account the chosen mixed bus exactly
-     during the same counting run (per-image previous data and aux lines;
-     TT/unencoded fetches drive the stored image while aux lines hold). *)
-  let scoring_model =
-    match ledger with Some m -> m | None -> Ledger.Model.on_chip
-  in
-  let per_t = Buspower.Energy.per_transition scoring_model.Ledger.Model.bus in
-  let auto =
-    match scheme_alts with
-    | None -> None
-    | Some sel ->
-        (* one event per region: the scored slate, the winner, and whether
-           the choice was forced rather than scored *)
-        let region_event ~k ~forced rg winner scores =
-          Log.info "scheme.region"
-            ([
-               ("k", Log.Int k);
-               ("start", Log.Int rg.rg_start);
-               ("len", Log.Int rg.rg_len);
-               ("weight", Log.Int rg.rg_weight);
-               ("winner", Log.Str winner);
-               ("forced", Log.Bool forced);
-             ]
-            @ List.map (fun (s, v) -> ("cost_" ^ s, Log.Float v)) scores)
-        in
-        let pick ~k rg =
-          match sel with
-          | `Force b ->
-              if Log.enabled () then begin
-                let module B = (val b : Buspower.Encoder.S) in
-                region_event ~k ~forced:true rg B.scheme []
-              end;
-              Some b
-          | `Choose alts ->
-              let winner, scores =
-                choose_backend ~alts ~model:scoring_model ~per_t ~words rg
-              in
-              if Log.enabled () then begin
-                let name =
-                  match winner with
-                  | None -> "tt"
-                  | Some b ->
-                      let module B = (val b : Buspower.Encoder.S) in
-                      B.scheme
-                in
-                region_event ~k ~forced:false rg name scores
-              end;
-              winner
-        in
-        let k_of_image =
-          Array.of_list (List.map (fun (k, _, _) -> k) systems)
-        in
-        let region_of_pc =
-          Array.map
-            (fun rgs ->
-              let map = Array.make npc (-1) in
-              List.iteri
-                (fun ri rg ->
-                  for pc = rg.rg_start to min (npc - 1) (rg.rg_start + rg.rg_len - 1)
-                  do
-                    map.(pc) <- ri
-                  done)
-                rgs;
-              map)
-            regions
-        in
-        let alt_of_region =
-          Array.mapi
-            (fun v rgs ->
-              Array.of_list
-                (List.map
-                   (fun rg ->
-                     match pick ~k:k_of_image.(v) rg with
-                     | None -> None
-                     | Some b ->
-                         let module B = (val b : Buspower.Encoder.S) in
-                         let e = B.encoder ~width:32 in
-                         let c = B.cost ~width:32 in
-                         Some
-                           {
-                             art_scheme = B.scheme;
-                             art_step =
-                               (fun w ->
-                                 match B.encode e w with
-                                 | [ cw ] -> cw
-                                 | _ ->
-                                     failwith
-                                       "Pipeline.Evaluate: latency-0 backend \
-                                        emitted <> 1 codeword");
-                             art_reads_per_fetch =
-                               c.Buspower.Encoder.reads_per_fetch;
-                             art_table_words =
-                               (c.Buspower.Encoder.table_bits + 31) / 32;
-                             art_fetches = 0;
-                           })
-                   rgs))
-            regions
-        in
-        Some
-          {
-            as_region_of_pc = region_of_pc;
-            as_alt = alt_of_region;
-            as_totals = Array.make nimg 0;
-            as_prev_data = Array.make nimg 0;
-            as_prev_aux = Array.make nimg 0;
-            as_tt_fetches = Array.make nimg 0;
-            as_first = true;
-          }
-  in
-  let attr =
-    if attribution then
-      Some
-        (Trace.Attribution.create
-           ~labels:(Array.of_list (List.map (fun k -> "k" ^ string_of_int k) ks))
-           ~block_starts:(Array.map (fun (b : Cfg.Block.t) -> b.Cfg.Block.start) blocks)
-           ~block_of_pc:(fun pc -> if pc >= 0 && pc < npc then pc_block.(pc) else -1))
-    else None
-  in
-  let first = ref true in
-  let on_fetch ~pc =
-    let w = Array.unsafe_get words pc in
-    if !first then begin
-      first := false;
-      baseline_prev := w;
-      for v = 0 to nimg - 1 do
-        prevs.(v) <- (Array.unsafe_get images v).(pc)
-      done
-    end
-    else begin
-      baseline_total := !baseline_total + popcount32 (w lxor !baseline_prev);
-      baseline_prev := w;
-      for v = 0 to nimg - 1 do
-        let e = Array.unsafe_get (Array.unsafe_get images v) pc in
-        Array.unsafe_set totals v
-          (Array.unsafe_get totals v
-          + popcount32 (e lxor Array.unsafe_get prevs v));
-        Array.unsafe_set prevs v e
-      done
-    end;
-    (* Attribution and trace events share one fresh per-fetch word array;
-       the ring retains it, so it must not be a reused scratch buffer. *)
-    let tracing = Trace.Collector.enabled () in
-    if tracing || attr <> None || meter <> None then begin
-      let enc = Array.init nimg (fun v -> (Array.unsafe_get images v).(pc)) in
-      (match attr with
-      | Some a -> Trace.Attribution.record a ~pc ~baseline:w ~encoded:enc
-      | None -> ());
-      (match meter with
-      | Some m -> Ledger.Meter.record m ~pc ~baseline:w ~encoded:enc
-      | None -> ());
-      if tracing then begin
-        let time = Trace.Collector.now () in
-        Trace.Collector.emit (Trace.Event.Bus { time; pc; encoded = enc });
-        if pc < npc && pc_is_start.(pc) then
-          Trace.Collector.emit
-            (Trace.Event.Block_entry { time; pc; block = pc_block.(pc) })
-      end
-    end;
-    (match auto with
-    | None -> ()
-    | Some a ->
-        let first_auto = a.as_first in
-        a.as_first <- false;
-        for v = 0 to nimg - 1 do
-          let r = if pc < npc then a.as_region_of_pc.(v).(pc) else -1 in
-          let data, aux =
-            if r >= 0 then
-              match a.as_alt.(v).(r) with
-              | Some art ->
-                  art.art_fetches <- art.art_fetches + 1;
-                  let cw = art.art_step w in
-                  (cw.Buspower.Encoder.data, cw.Buspower.Encoder.aux)
-              | None ->
-                  a.as_tt_fetches.(v) <- a.as_tt_fetches.(v) + 1;
-                  ((Array.unsafe_get images v).(pc), a.as_prev_aux.(v))
-            else ((Array.unsafe_get images v).(pc), a.as_prev_aux.(v))
-          in
-          if not first_auto then
-            a.as_totals.(v) <-
-              a.as_totals.(v)
-              + popcount32 (data lxor a.as_prev_data.(v))
-              + popcount32 (aux lxor a.as_prev_aux.(v));
-          a.as_prev_data.(v) <- data;
-          a.as_prev_aux.(v) <- aux
-        done);
-    ignore (Buspower.Businvert.encode businvert w);
-    if verify then
-      Array.iteri
-        (fun v dec ->
-          let _bus, decoded = Hardware.Fetch_decoder.fetch dec ~pc in
-          if decoded <> w then
-            raise (Verification_failed { pc; expected = w; got = decoded });
-          verified.(v) <- verified.(v) + 1)
-        decoders
-  in
-  let state = Machine.Cpu.create_state () in
-  let result =
-    Metrics.with_span Tel.span_count (fun () ->
-        gc_phase gc_count_phase (fun () ->
-            Machine.Cpu.run ~on_fetch program state))
-  in
-  Metrics.add Tel.pipeline_fetches result.Machine.Cpu.instructions;
-  Metrics.add Tel.pipeline_images nimg;
+  let instructions = Cfg.Profile.total ctx.profile in
+  Metrics.add Tel.pipeline_fetches instructions;
+  Metrics.add Tel.pipeline_images (Array.length images);
   if Log.enabled () then
     Log.info "pipeline.phase"
       [
         ("phase", Log.Str "count");
-        ("instructions", Log.Int result.Machine.Cpu.instructions);
-        ("images", Log.Int nimg);
+        ("instructions", Log.Int instructions);
+        ("images", Log.Int (Array.length images));
       ];
-  let runs =
-    List.mapi
-      (fun v (k, plan, _system) ->
-        let encoded_blocks =
-          List.length
-            (List.filter
-               (fun p -> p.Powercode.Program_encoder.encoding <> None)
-               plan.Powercode.Program_encoder.placements)
-        in
-        {
-          k;
-          transitions = totals.(v);
-          reduction_pct =
-            (if !baseline_total = 0 then 0.0
-             else
-               100.0
-               *. (1.0
-                  -. (float_of_int totals.(v) /. float_of_int !baseline_total)));
-          tt_used = plan.Powercode.Program_encoder.tt_used;
-          blocks_encoded = encoded_blocks;
-          verified_fetches = (if verify then verified.(v) else 0);
-        })
-      systems
-  in
-  let scheme_runs =
-    match auto with
-    | None -> []
-    | Some a ->
-        List.mapi
-          (fun v (k, _plan, _system) ->
-            let rgs = Array.of_list regions.(v) in
-            let alts_v = a.as_alt.(v) in
-            let fl = float_of_int in
-            let alt_fetches = ref 0 and alt_read_j = ref 0.0 in
-            Array.iter
-              (function
-                | Some art ->
-                    alt_fetches := !alt_fetches + art.art_fetches;
-                    alt_read_j :=
-                      !alt_read_j
-                      +. (fl (art.art_fetches * art.art_reads_per_fetch)
-                         *. scoring_model.Ledger.Model.tt_read_j)
-                      +. (fl art.art_table_words
-                         *. scoring_model.Ledger.Model.table_write_j)
-                | None -> ())
-              alts_v;
-            let enc_fetches = a.as_tt_fetches.(v) + !alt_fetches in
-            let tt_energy_j =
-              (fl totals.(v) *. per_t)
-              +. (fl enc_fetches *. scoring_model.Ledger.Model.tt_read_j)
-            in
-            let auto_energy_j =
-              (fl a.as_totals.(v) *. per_t)
-              +. (fl a.as_tt_fetches.(v)
-                 *. scoring_model.Ledger.Model.tt_read_j)
-              +. !alt_read_j
-            in
-            (* Commit rule: an [`Auto] selection that measured worse than
-               all-TT is discarded, so auto never reports higher energy
-               than TT.  A [`Fixed] override is honoured as-is and reports
-               honest (possibly worse) numbers. *)
-            let reverted =
-              (match scheme with `Auto -> true | `Tt | `Fixed _ -> false)
-              && auto_energy_j > tt_energy_j
-            in
-            if Log.enabled () then
-              Log.info "scheme.commit"
-                [
-                  ("k", Log.Int k);
-                  ("auto_energy_j", Log.Float auto_energy_j);
-                  ("tt_energy_j", Log.Float tt_energy_j);
-                  ("reverted", Log.Bool reverted);
-                ];
-            let choice_of ri rg =
-              let rc_scheme =
-                if reverted then "tt"
-                else
-                  match alts_v.(ri) with
-                  | Some art -> art.art_scheme
-                  | None -> "tt"
-              in
-              {
-                rc_start = rg.rg_start;
-                rc_len = rg.rg_len;
-                rc_weight = rg.rg_weight;
-                rc_scheme;
-              }
-            in
-            let choices = Array.to_list (Array.mapi choice_of rgs) in
-            let counts =
-              let tally = Hashtbl.create 8 in
-              List.iter
-                (fun c ->
-                  Hashtbl.replace tally c.rc_scheme
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt tally c.rc_scheme)))
-                choices;
-              let order =
-                let alt_list =
-                  match scheme_alts with
-                  | None -> []
-                  | Some (`Choose alts) -> alts
-                  | Some (`Force b) -> [ b ]
-                in
-                "tt"
-                :: List.map
-                     (fun b ->
-                       let module B = (val b : Buspower.Encoder.S) in
-                       B.scheme)
-                     alt_list
-              in
-              List.filter_map
-                (fun s ->
-                  match Hashtbl.find_opt tally s with
-                  | Some n -> Some (s, n)
-                  | None -> if String.equal s "tt" then Some (s, 0) else None)
-                order
-            in
-            let auto_transitions =
-              if reverted then totals.(v) else a.as_totals.(v)
-            in
-            {
-              srun_k = k;
-              choices;
-              scheme_counts = counts;
-              auto_transitions;
-              auto_reduction_pct =
-                (if !baseline_total = 0 then 0.0
-                 else
-                   100.0
-                   *. (1.0
-                      -. float_of_int auto_transitions
-                         /. float_of_int !baseline_total));
-              auto_energy_j = (if reverted then tt_energy_j else auto_energy_j);
-              tt_energy_j;
-              reverted;
-            })
-          systems
-  in
-  let ledger_sheet =
-    match meter with
-    | None -> None
-    | Some m ->
-        (* Conservation: the meter accumulates bus transitions independently
-           of the aggregate counting run above; any disagreement means one
-           side is broken, and a ledger built on it would lie. *)
-        if Ledger.Meter.baseline_transitions m <> !baseline_total then
-          failwith
-            (Printf.sprintf
-               "Pipeline.Evaluate: ledger baseline transitions %d <> counting \
-                run %d"
-               (Ledger.Meter.baseline_transitions m)
-               !baseline_total);
-        List.iteri
-          (fun v _ ->
-            if Ledger.Meter.encoded_transitions m v <> totals.(v) then
-              failwith
-                (Printf.sprintf
-                   "Pipeline.Evaluate: ledger image %d transitions %d <> \
-                    counting run %d"
-                   v
-                   (Ledger.Meter.encoded_transitions m v)
-                   totals.(v)))
-          systems;
-        let reprogram_writes =
-          Array.of_list
-            (List.map
-               (fun (_, _, s) -> Hardware.Reprogram.programming_writes s)
-               systems)
-        in
-        Some (Ledger.Meter.finalize m ~reprogram_writes)
-  in
-  {
-    name;
-    instructions = result.Machine.Cpu.instructions;
-    baseline_transitions = !baseline_total;
-    businvert_transitions = Buspower.Businvert.transitions businvert;
-    runs;
-    coverage_pct;
-    output = Machine.Cpu.output state;
-    attribution = Option.map Trace.Attribution.summarize attr;
-    ledger = ledger_sheet;
-    schemes = scheme_runs;
-  }
+  account ~name ~scheme ~scheme_alts ~model ctx images counted
 
 let evaluate_workload ?ks ?scheme ?verify ?attribution ?ledger w =
   let compiled = Workloads.compile w in

@@ -1,16 +1,28 @@
 (** End-to-end evaluation of the power encoding on a program — the engine
     behind the Figure 6 / Figure 7 reproduction.
 
-    Flow: run once to profile; plan the encoding for each block size
-    (hottest basic blocks first, within the Transformation Table budget);
-    build the stored image for each plan; then run once more, counting bus
-    transitions simultaneously for the baseline image, every encoded image,
-    and the bus-invert baseline.  The dynamic PC sequence is identical for
-    every image, so a single counting run suffices.
+    Flow, in four stages:
+    - {e profile}: one CPU run records per-pc fetch counts, the count of
+      every distinct consecutive fetch pair (the fetch edges), the
+      bus-invert baseline and the program output ({!Cfg.Profile});
+    - {e plan}: for each block size, encode the hottest basic blocks
+      within the Transformation Table budget and build the stored image
+      and decode system (profile and plans are served from {!Plan_cache});
+    - {e count}: every static image's bus transitions are
+      [Σ count(a→b) · popcount (img[a] xor img[b])] over the fetch edges,
+      and so are the ledger, the attribution tables and an all-TT scheme
+      selection — O(edges × images), no CPU run;
+    - {e account}: reductions, scheme energies and the priced ledger.
 
-    With [verify = true] every fetch is additionally pushed through the
-    {!Hardware.Fetch_decoder} model for each block size and the restored
-    word is compared against the true program — the full hardware
+    A second CPU run (the replay) happens only when a consumer needs the
+    fetch stream itself: [verify], a recording {!Trace.Collector}, or a
+    region committed to a non-TT backend (a stateful encoder, or aux lines
+    held across fetches).  A cold TT evaluate thus runs the program once,
+    and one served from {!Plan_cache} not at all.
+
+    With [verify = true] the replay pushes every fetch through the
+    {!Hardware.Fetch_decoder} model for each block size and compares the
+    restored word against the true program — the full hardware
     equivalence check (slower; used by tests and small runs). *)
 
 type encoded_run = {
@@ -30,8 +42,9 @@ type encoded_run = {
     {!Buspower.Encoder} backend through the energy model (the [ledger]
     model when one is passed, {!Ledger.Model.on_chip} otherwise) and takes
     the cheapest, TT winning ties; the mixed bus (data plus the chosen
-    backends' redundant lines) is then accounted {e exactly} during the
-    counting run, and a selection that measured worse than all-TT is
+    backends' redundant lines) is then accounted {e exactly} — from the
+    fetch edges when every region stays TT, over the replay otherwise —
+    and a selection that measured worse than all-TT is
     discarded ([reverted]), so auto never reports higher energy than TT.
     [`Fixed name]: force every encoded region to backend [name] (["tt"]
     included), bypassing the scoring and the commit rule — the report
@@ -78,13 +91,13 @@ type report = {
       (** per-bitline / per-block transition breakdown; [Some] iff the
           [attribution] flag was set.  Its totals equal
           [baseline_transitions] and each run's [transitions] bit-exactly
-          (streaming accumulators over the same fetch stream). *)
+          (its accumulators are fed the same fetch edges). *)
   ledger : Ledger.Sheet.t option;
       (** itemized energy account; [Some] iff a [ledger] model was passed.
           Its bus-transition counts are accumulated independently by
-          {!Ledger.Meter} and checked against the aggregate counting run
-          before the report is returned — a mismatch raises rather than
-          returning an inconsistent ledger. *)
+          {!Ledger.Meter} from the fetch edges and checked against the
+          aggregate transition counts before the report is returned — a
+          mismatch raises rather than returning an inconsistent ledger. *)
   schemes : scheme_run list;
       (** one per [k], empty under the default [`Tt] scheme *)
 }
@@ -140,7 +153,7 @@ end
 (** [prepare ?ks ?tt_capacity ?subset_mask ?optimal_chain ?selection
     program] runs the profiling and planning front half of {!evaluate}
     (same defaults, same block selection) and returns the per-[k] systems
-    without the counting run.  The front half is served from
+    without counting.  The front half is served from
     {!Plan_cache} when enabled. *)
 val prepare :
   ?ks:int list ->
@@ -155,14 +168,14 @@ val prepare :
     ?verify ?attribution ~name program] — defaults: [ks = [4;5;6;7]],
     [tt_capacity = 16], the paper's eight transformations, greedy chaining,
     [`Hot_blocks], no per-fetch verification, no attribution, no ledger.
-    [attribution = true] additionally maintains
-    {!Trace.Attribution} accumulators over the counting run and returns
-    their summary in the report.  [ledger = model] runs a {!Ledger.Meter}
-    over the same fetch stream (TT reads, BBIT probes, gate toggles, bus
-    transitions), charges the reprogramming writes of each built decode
-    system, and returns the priced {!Ledger.Sheet}.  Independently of
-    these flags, the counting run emits [Bus] and [Block_entry] events
-    into {!Trace.Collector} whenever that collector is recording. *)
+    [attribution = true] additionally fills {!Trace.Attribution}
+    accumulators from the fetch edges and returns their summary in the
+    report.  [ledger = model] feeds a {!Ledger.Meter} the same edges (TT
+    reads, BBIT probes, gate toggles, bus transitions), charges the
+    reprogramming writes of each built decode system, and returns the
+    priced {!Ledger.Sheet}.  Independently of these flags, whenever
+    {!Trace.Collector} is recording, the replay emits [Bus] and
+    [Block_entry] events into it. *)
 val evaluate :
   ?ks:int list ->
   ?tt_capacity:int ->

@@ -295,19 +295,19 @@ let gc_plan_major_collections =
 
 let gc_count_minor_words =
   gc_counter "count" "minor_words"
-    "Minor-heap words allocated during counting runs"
+    "Minor-heap words allocated while counting"
 
 let gc_count_major_words =
   gc_counter "count" "major_words"
-    "Major-heap words allocated during counting runs"
+    "Major-heap words allocated while counting"
 
 let gc_count_minor_collections =
   gc_counter "count" "minor_collections"
-    "Minor collections during counting runs"
+    "Minor collections while counting"
 
 let gc_count_major_collections =
   gc_counter "count" "major_collections"
-    "Major collections during counting runs"
+    "Major collections while counting"
 
 let gc_heap_words =
   Metrics.gauge ~doc:"Major heap size in words at the last phase boundary"
@@ -333,7 +333,9 @@ let span_plan =
     "pipeline.plan"
 
 let span_count =
-  Metrics.span ~doc:"Counting run over all images (Machine.Cpu.run)"
+  Metrics.span
+    ~doc:"Counting over all images: fetch-edge sums, plus the replay run \
+          when verify, tracing or a non-TT region needs the fetch stream"
     "pipeline.count"
 
 let span_encode_plan =

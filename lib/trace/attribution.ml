@@ -9,7 +9,6 @@ type t = {
   mutable prev_base : int;
   mutable primed : bool;
   prev_enc : int array;
-  enc_primed : bool array;
   mutable fetches : int;
 }
 
@@ -39,38 +38,50 @@ let create ~labels ~block_starts ~block_of_pc =
     prev_base = 0;
     primed = false;
     prev_enc = Array.make n 0;
-    enc_primed = Array.make n false;
     fetches = 0;
   }
 
-let account ~lines ~blocks ~blk ~prev ~cur =
+let account ~count ~lines ~blocks ~blk ~prev ~cur =
   let d = prev lxor cur in
   if d <> 0 then begin
     for bit = 0 to 31 do
-      if (d lsr bit) land 1 = 1 then lines.(bit) <- lines.(bit) + 1
+      if (d lsr bit) land 1 = 1 then lines.(bit) <- lines.(bit) + count
     done;
     if blk >= 0 && blk < Array.length blocks then
-      blocks.(blk) <- blocks.(blk) + Bitutil.Popcount.count32 d
+      blocks.(blk) <- blocks.(blk) + (count * Bitutil.Popcount.count32 d)
   end
 
-let record (t : t) ~pc ~baseline ~encoded =
-  if Array.length encoded <> Array.length t.labels then
+(* [count] fetches of [pc], each right after a fetch that drove [src_base]
+   and [src_enc]; with [primed = false] they have no predecessor. *)
+let edge (t : t) ~count ~primed ~src_base ~src_enc ~pc ~baseline ~encoded =
+  let n = Array.length t.labels in
+  if Array.length encoded <> n || Array.length src_enc <> n then
     invalid_arg "Trace.Attribution.record: encoded word count <> labels";
-  let blk = t.block_of_pc pc in
-  if t.primed then
-    account ~lines:t.line_baseline ~blocks:t.block_baseline ~blk
-      ~prev:t.prev_base ~cur:baseline;
+  if primed then begin
+    let blk = t.block_of_pc pc in
+    account ~count ~lines:t.line_baseline ~blocks:t.block_baseline ~blk
+      ~prev:src_base ~cur:baseline;
+    for i = 0 to n - 1 do
+      account ~count ~lines:t.line_encoded.(i) ~blocks:t.block_encoded.(i) ~blk
+        ~prev:src_enc.(i) ~cur:encoded.(i)
+    done
+  end;
+  t.fetches <- t.fetches + count
+
+let record_edge t ~count ~src ~pc ~baseline ~encoded =
+  match src with
+  | None ->
+      edge t ~count ~primed:false ~src_base:0 ~src_enc:encoded ~pc ~baseline
+        ~encoded
+  | Some (src_base, src_enc) ->
+      edge t ~count ~primed:true ~src_base ~src_enc ~pc ~baseline ~encoded
+
+let record (t : t) ~pc ~baseline ~encoded =
+  edge t ~count:1 ~primed:t.primed ~src_base:t.prev_base ~src_enc:t.prev_enc
+    ~pc ~baseline ~encoded;
+  Array.blit encoded 0 t.prev_enc 0 (Array.length encoded);
   t.prev_base <- baseline;
-  t.primed <- true;
-  Array.iteri
-    (fun i w ->
-      if t.enc_primed.(i) then
-        account ~lines:t.line_encoded.(i) ~blocks:t.block_encoded.(i) ~blk
-          ~prev:t.prev_enc.(i) ~cur:w;
-      t.prev_enc.(i) <- w;
-      t.enc_primed.(i) <- true)
-    encoded;
-  t.fetches <- t.fetches + 1
+  t.primed <- true
 
 let sum = Array.fold_left ( + ) 0
 

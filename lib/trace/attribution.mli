@@ -1,7 +1,8 @@
 (** Exact per-bitline and per-basic-block attribution of bus transitions.
 
-    Fed one call per dynamic instruction fetch with the baseline bus word
-    and the corresponding word of each encoded image, it maintains streaming
+    Fed one call per dynamic instruction fetch ({!record}), or one per
+    weighted fetch edge ({!record_edge}), with the baseline bus word and
+    the corresponding word of each encoded image, it maintains exact
     accumulators — unlike the trace ring buffer it never drops data, so the
     per-line counts sum {e bit-exactly} to the aggregate transition counts
     reported by [Pipeline.Evaluate] (the test suite asserts this for every
@@ -25,9 +26,26 @@ val create :
   block_of_pc:(int -> int) ->
   t
 
-(** [record t ~pc ~baseline ~encoded] accounts one fetch.  [encoded] must
-    have one word per label (raises [Invalid_argument] otherwise). *)
+(** [record t ~pc ~baseline ~encoded] accounts one fetch, after the one
+    recorded before it.  [encoded] must have one word per label (raises
+    [Invalid_argument] otherwise). *)
 val record : t -> pc:int -> baseline:int -> encoded:int array -> unit
+
+(** [record_edge t ~count ~src ~pc ~baseline ~encoded] accounts [count]
+    fetches of [pc], each right after a fetch that drove [src = Some
+    (src_baseline, src_encoded)]; [src = None] is the first fetch of the
+    run.  Summed over a run's fetch edges (plus its first fetch) this gives
+    exactly the summary of {!record} over the same run.  It leaves the
+    previous-fetch state of {!record} alone, so feed one accumulator
+    through one entry point only. *)
+val record_edge :
+  t ->
+  count:int ->
+  src:(int * int array) option ->
+  pc:int ->
+  baseline:int ->
+  encoded:int array ->
+  unit
 
 type summary = {
   labels : string array;

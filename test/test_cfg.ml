@@ -221,6 +221,157 @@ let test_coverage () =
   Alcotest.(check (float 1e-9)) "full coverage" 1.0 (Profile.coverage profile all);
   Alcotest.(check (float 1e-9)) "empty coverage" 0.0 (Profile.coverage profile [])
 
+(* ---- fetch edges and bus-invert, against the recorded fetch stream ------------- *)
+
+(* A self-loop, then a jump to pc + 1: [jalr $t0, $t0] at pc 1 first jumps
+   to itself ($t0 = 1) and then to pc 2 ($t0 = 2). *)
+let self_loop = "li $t0, 1\njalr $t0, $t0\nli $v0, 10\nsyscall"
+
+(* A taken branch to pc + 1 looks exactly like falling through. *)
+let branch_to_next = "beq $zero, $zero, next\nnext:\nli $v0, 10\nsyscall"
+
+(* The exit syscall also prints on earlier passes, so the last pc is
+   fetched three times but falls through only twice. *)
+let last_pc_repeats =
+  {|
+    li $t0, 3
+  loop:
+    addiu $t0, $t0, -1
+    li $v0, 1
+    bgtz $t0, print
+    li $v0, 10
+  print:
+    move $a0, $t0
+    syscall
+    j loop
+  |}
+
+(* The segment [join .. bgtz] is left for [back] twice, entered once after
+   the [j] and once after the [beq]: two bus-invert histories for one
+   stretch of words, which must be priced apart (they cost 19 and 18).
+   The unexecuted [nop] keeps [join] from being the [beq]'s pc + 1. *)
+let two_entries =
+  {|
+    li $t0, 3
+    j join
+  back:
+    nop
+    beq $zero, $zero, join
+    nop
+  join:
+    addiu $t0, $t0, -1
+    bgtz $t0, back
+    li $v0, 10
+    syscall
+  |}
+
+(* The shortest run the CPU can finish: $v0 starts at 0, so exiting takes
+   two fetches. *)
+let shortest = "li $v0, 10\nsyscall"
+
+let stream_of p =
+  let pcs = ref [] in
+  let state = Machine.Cpu.create_state () in
+  ignore (Machine.Cpu.run ~on_fetch:(fun ~pc -> pcs := pc :: !pcs) p state);
+  (List.rev !pcs, Machine.Cpu.output state)
+
+(* The profile's edges, bus-invert figure, counts and output equal what the
+   recorded stream gives fetch by fetch. *)
+let check_against_stream name src =
+  let p = Asm.assemble src in
+  let profile, result = Profile.collect p in
+  let pcs, output = stream_of p in
+  let pairs = Hashtbl.create 16 in
+  let rec walk = function
+    | a :: (b :: _ as rest) ->
+        Hashtbl.replace pairs (a, b)
+          (1 + Option.value ~default:0 (Hashtbl.find_opt pairs (a, b)));
+        walk rest
+    | _ -> ()
+  in
+  walk pcs;
+  let expected =
+    List.sort compare
+      (Hashtbl.fold (fun (a, b) n acc -> (a, b, n) :: acc) pairs [])
+  in
+  let got =
+    Array.to_list
+      (Array.map (fun (e : Profile.edge) -> (e.src, e.dst, e.count)) (Profile.edges profile))
+  in
+  Alcotest.(check (list (triple int int int))) (name ^ ": edges") expected got;
+  check_int (name ^ ": total") (List.length pcs) (Profile.total profile);
+  check_int (name ^ ": result") (List.length pcs) result.Machine.Cpu.instructions;
+  let words = Program.words p in
+  check_int (name ^ ": businvert")
+    (Buspower.Businvert.count_stream
+       (Array.of_list (List.map (fun pc -> words.(pc)) pcs)))
+    (Profile.businvert_transitions profile);
+  Alcotest.(check string) (name ^ ": output") output (Profile.output profile);
+  Array.iteri
+    (fun pc _ ->
+      check_int
+        (Printf.sprintf "%s: count %d" name pc)
+        (List.length (List.filter (( = ) pc) pcs))
+        (Profile.instruction_count profile pc))
+    words;
+  profile
+
+let edge_list profile =
+  Array.to_list
+    (Array.map (fun (e : Profile.edge) -> (e.src, e.dst, e.count)) (Profile.edges profile))
+
+let test_self_loop () =
+  let profile = check_against_stream "self loop" self_loop in
+  Alcotest.(check (list (triple int int int)))
+    "a -> a, then a -> a + 1" [ (0, 1, 1); (1, 1, 1); (1, 2, 1); (2, 3, 1) ]
+    (edge_list profile)
+
+let test_branch_to_next () =
+  let profile = check_against_stream "branch to pc + 1" branch_to_next in
+  Alcotest.(check (list (triple int int int)))
+    "one sequential edge per pc" [ (0, 1, 1); (1, 2, 1) ] (edge_list profile)
+
+let test_last_pc () =
+  let profile = check_against_stream "last pc" last_pc_repeats in
+  let syscall = 6 in
+  check_int "syscall fetched three times" 3
+    (Profile.instruction_count profile syscall);
+  check_int "falls through twice" 2
+    (List.fold_left
+       (fun acc (a, _, n) -> if a = syscall then acc + n else acc)
+       0 (edge_list profile));
+  check_int "edges cover every fetch but the first"
+    (Profile.total profile - 1)
+    (List.fold_left (fun acc (_, _, n) -> acc + n) 0 (edge_list profile))
+
+let test_shortest_run () =
+  let profile = check_against_stream "shortest run" shortest in
+  Alcotest.(check (list (triple int int int)))
+    "one edge" [ (0, 1, 1) ] (edge_list profile)
+
+let test_nested_against_stream () =
+  ignore (check_against_stream "nested loops" nested_loops);
+  ignore (check_against_stream "diamond" diamond);
+  ignore (check_against_stream "straight line" straight_line);
+  ignore (check_against_stream "two entry histories" two_entries)
+
+(* A budget the run exceeds raises, as Machine.Cpu.run does; a budget of
+   exactly the run's length does not. *)
+let test_budget () =
+  let p = Asm.assemble last_pc_repeats in
+  let full, _ = Profile.collect p in
+  let n = Profile.total full in
+  let exact, _ = Profile.collect ~max_instructions:n p in
+  Alcotest.(check (list (triple int int int)))
+    "exact budget, same edges" (edge_list full) (edge_list exact);
+  List.iter
+    (fun budget ->
+      Alcotest.check_raises
+        (Printf.sprintf "budget %d" budget)
+        (Machine.Cpu.Trap "instruction budget exceeded")
+        (fun () -> ignore (Profile.collect ~max_instructions:budget p)))
+    [ 1; n - 1 ]
+
 let () =
   Alcotest.run "cfg"
     [
@@ -251,5 +402,12 @@ let () =
           Alcotest.test_case "counts" `Quick test_profile_counts;
           Alcotest.test_case "hot order" `Quick test_hot_blocks_order;
           Alcotest.test_case "coverage" `Quick test_coverage;
+          Alcotest.test_case "self loop" `Quick test_self_loop;
+          Alcotest.test_case "branch to pc + 1" `Quick test_branch_to_next;
+          Alcotest.test_case "last pc" `Quick test_last_pc;
+          Alcotest.test_case "shortest run" `Quick test_shortest_run;
+          Alcotest.test_case "loops against the stream" `Quick
+            test_nested_against_stream;
+          Alcotest.test_case "instruction budget" `Quick test_budget;
         ] );
     ]

@@ -273,6 +273,56 @@ let test_cache_disabled_scheme_equivalence () =
       check_bool "runs identical too" true
         (run_summary cached = run_summary uncached))
 
+(* CPU runs per evaluate, read from telemetry: [cpu.instructions] grows by
+   the program's length once per run, and the [pipeline.profile] span
+   counts profile runs.  A cold Tt evaluate profiles and counts from the
+   fetch edges; only verification and a non-TT region replay the program. *)
+let cpu_runs f =
+  let module M = Telemetry.Metrics in
+  let had = M.enabled () in
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () -> M.set_enabled had) @@ fun () ->
+  let before = M.freeze () in
+  let r = f () in
+  let d = M.diff ~before ~after:(M.freeze ()) in
+  let instructions =
+    List.fold_left
+      (fun acc (n, _, v) -> if n = "cpu.instructions" then acc + v else acc)
+      0 d.M.counters
+  in
+  let profiles =
+    match List.assoc_opt "pipeline.evaluate/pipeline.profile" d.M.spans with
+    | Some s -> s.M.span_count
+    | None -> 0
+  in
+  check_int "whole runs" 0 (instructions mod r.Evaluate.instructions);
+  (instructions / r.Evaluate.instructions, profiles)
+
+let test_cpu_runs_per_evaluate () =
+  with_fresh_cache (fun () ->
+      let program = (Workloads.compile (scaled "tri")).Minic.Compile.program in
+      let runs ?verify ?scheme () =
+        cpu_runs (fun () -> Evaluate.evaluate ?verify ?scheme ~name:"tri" program)
+      in
+      let pin name expected got =
+        Alcotest.(check (pair int int)) name expected got
+      in
+      Evaluate.Plan_cache.clear ();
+      pin "cold tt: one run, the profile" (1, 1) (runs ());
+      Alcotest.(check (pair int int)) "cold tt missed" (0, 1)
+        (Evaluate.Plan_cache.stats ());
+      pin "warm tt: no run" (0, 0) (runs ());
+      Alcotest.(check (pair int int)) "warm tt hit" (1, 1)
+        (Evaluate.Plan_cache.stats ());
+      pin "warm verify replays" (1, 0) (runs ~verify:true ());
+      Evaluate.Plan_cache.clear ();
+      pin "cold verify: profile + replay" (2, 1) (runs ~verify:true ());
+      pin "cold auto, every region tt: one run" (1, 1) (runs ~scheme:`Auto ());
+      pin "warm auto: no run" (0, 0) (runs ~scheme:`Auto ());
+      pin "cold forced gray: profile + replay" (2, 1)
+        (runs ~scheme:(`Fixed "gray") ());
+      pin "warm forced gray replays" (1, 0) (runs ~scheme:(`Fixed "gray") ()))
+
 let test_auto_never_worse_than_tt () =
   (* the PR's acceptance criterion: on every seed benchmark, at every block
      size, auto-selection never reports more ledger energy than all-TT *)
@@ -362,6 +412,8 @@ let () =
             test_cache_scheme_key;
           Alcotest.test_case "disabled equivalence with schemes" `Quick
             test_cache_disabled_scheme_equivalence;
+          Alcotest.test_case "cpu runs per evaluate" `Quick
+            test_cpu_runs_per_evaluate;
         ] );
       ( "scheme-selection",
         [

@@ -147,7 +147,8 @@ let test_vcd_from_real_run () =
     with_collector ~capacity:200_000 @@ fun () ->
     let r = Evaluate.evaluate_workload w in
     check_int "nothing dropped at this capacity" 0 (Collector.dropped ());
-    (* profile pass + counting pass both tick the clock *)
+    (* the profile run and the replay a recording collector asks for both
+       tick the clock *)
     check_int "fetch ticks = 2 runs of the program"
       (2 * r.Evaluate.instructions)
       (Collector.fetches ());
