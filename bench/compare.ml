@@ -99,7 +99,7 @@ let banded_leaves =
     "top_heap_words";
     (* schema /8: the eventlog window's Stable-event counts are a pure
        function of the pinned workload and diff exactly; Runtime events
-       (worker lifecycle) depend on scheduling, and the serialized byte
+       would depend on scheduling, and the serialized byte
        total ("bytes", banded above) rides on the run_id length *)
     "runtime_events";
   ]

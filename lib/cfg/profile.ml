@@ -22,6 +22,7 @@ type t = {
   last : int;  (* the last pc fetched *)
   businvert : int;
   output : string;
+  exit_code : int;
 }
 
 let rec find_segment start target entry = function
@@ -117,6 +118,7 @@ let collect ?max_instructions program =
       last = !prev;
       businvert;
       output = Machine.Cpu.output state;
+      exit_code = result.Machine.Cpu.exit_code;
     },
     result )
 
@@ -133,6 +135,7 @@ let block_fetches t (b : Block.t) =
 let total t = t.total
 let businvert_transitions t = t.businvert
 let output t = t.output
+let exit_code t = t.exit_code
 
 let hot_blocks t blocks =
   Array.to_list blocks

@@ -50,6 +50,9 @@ val businvert_transitions : t -> int
 (** [output t] is everything the profiled run printed. *)
 val output : t -> string
 
+(** [exit_code t] is the exit code the profiled run ended with. *)
+val exit_code : t -> int
+
 (** [hot_blocks t blocks] sorts blocks by {!block_fetches}, hottest first;
     never-executed blocks are dropped. *)
 val hot_blocks : t -> Block.t array -> Block.t list

@@ -79,8 +79,6 @@ let prepare_pairs config =
     (fun w ->
       let compiled = Workloads.compile w in
       let program = compiled.Minic.Compile.program in
-      let state = Machine.Cpu.create_state () in
-      let result = Machine.Cpu.run program state in
       let preps = Pipeline.Evaluate.prepare ~ks:config.ks program in
       List.map
         (fun (p : Pipeline.Evaluate.prepared) ->
@@ -89,6 +87,8 @@ let prepare_pairs config =
           let recovery =
             Hardware.Reprogram.recovery p.Pipeline.Evaluate.prep_system
           in
+          (* the profiled run is the fault-free baseline *)
+          let golden = p.Pipeline.Evaluate.prep_profile in
           {
             pair_bench = w.Workloads.name;
             pair_k = p.Pipeline.Evaluate.prep_k;
@@ -98,10 +98,10 @@ let prepare_pairs config =
             pair_space =
               Model.space p.Pipeline.Evaluate.prep_system
                 ~regions:recovery.Hardware.Fetch_decoder.regions
-                ~fetches:result.Machine.Cpu.instructions;
-            baseline_output = Machine.Cpu.output state;
-            baseline_exit = result.Machine.Cpu.exit_code;
-            baseline_instructions = result.Machine.Cpu.instructions;
+                ~fetches:(Cfg.Profile.total golden);
+            baseline_output = Cfg.Profile.output golden;
+            baseline_exit = Cfg.Profile.exit_code golden;
+            baseline_instructions = Cfg.Profile.total golden;
           })
         preps)
     config.benches
@@ -171,7 +171,7 @@ let static_corruption (pair : pair) system =
 
 (* Run one pre-sampled injection.  Touches nothing shared mutably — the
    rebuilt system, decoder, and CPU state are all local — so injections
-   fan out over the domain pool; [pair.recovery] is shared read-only. *)
+   fan out over Parpool's domains; [pair.recovery] is shared read-only. *)
 let inject_target ~id (pair : pair) target =
   let system = pair.rebuild () in
   Model.apply system target;
@@ -244,7 +244,7 @@ let inject_target ~id (pair : pair) target =
   in
   (* One event per injection.  The classification is a pure function of
      the seed, so the event is Stable: the seq-vs-parallel multisets match
-     even though injections fan out over the pool. *)
+     even though injections fan out over several domains. *)
   if Telemetry.Log.enabled () then
     Telemetry.Log.info "fault.injection"
       [
@@ -274,7 +274,7 @@ let run config =
   in
   (* Phase B, parallel: injections are independent experiments; results
      land in id order regardless of which domain ran them.  POWERCODE_SEQ=1
-     (or a 1-domain pool) degrades to the sequential loop. *)
+     (or POWERCODE_DOMAINS=1) degrades to the sequential loop. *)
   let records =
     Array.to_list
       (Powercode.Parpool.parallel_init config.injections (fun id ->

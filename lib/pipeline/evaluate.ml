@@ -174,6 +174,7 @@ type prepared = {
   prep_plan : Powercode.Program_encoder.plan;
   prep_system : Hardware.Reprogram.system;
   rebuild : unit -> Hardware.Reprogram.system;
+  prep_profile : Cfg.Profile.t;
 }
 
 let plan_only ~tt_capacity ~optimal_chain ctx ks =
@@ -355,7 +356,13 @@ let systems_of_plans ~tt_capacity ctx program plans =
         Hardware.Reprogram.build ~tt_capacity ~bbit_capacity:ctx.bbit_capacity
           ~functions:ctx.functions program plan
       in
-      { prep_k = k; prep_plan = plan; prep_system = build (); rebuild = build })
+      {
+        prep_k = k;
+        prep_plan = plan;
+        prep_system = build ();
+        rebuild = build;
+        prep_profile = ctx.profile;
+      })
     plans
 
 let prepare ?(ks = [ 4; 5; 6; 7 ]) ?(tt_capacity = 16) ?subset_mask

@@ -119,6 +119,10 @@ type prepared = {
   prep_plan : Powercode.Program_encoder.plan;
   prep_system : Hardware.Reprogram.system;
   rebuild : unit -> Hardware.Reprogram.system;
+  prep_profile : Cfg.Profile.t;
+      (** the profiled run every [k] of one {!prepare} call shares: its
+          output, exit code and instruction count are the fault-free
+          baseline *)
 }
 
 (** Content-addressed cache of the profiling + planning front half shared

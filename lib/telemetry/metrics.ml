@@ -5,10 +5,12 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-(* Sharding: the pool never exceeds 8 workers + the main domain, so 16
-   shards keep distinct domains on distinct cells in practice (domain ids
-   are assigned consecutively).  A collision only costs contention, never
-   correctness: totals sum all shards. *)
+(* Sharding: a parallel call never runs more than 8 workers + the caller
+   at once, and domain ids are assigned consecutively, so 16 shards keep
+   the domains of one call on distinct cells in practice.  Ids grow with
+   every call's spawns, so successive calls land on rotating cells.  A
+   collision only costs contention, never correctness: totals sum all
+   shards. *)
 let shards = 16
 let shard () = (Domain.self () :> int) land (shards - 1)
 

@@ -197,34 +197,38 @@ let subset_masks_tested =
 (* ---- domain pool (runtime: scheduling-dependent) ---------------------- *)
 
 let parpool_jobs =
-  counter ~stability:runtime ~doc:"parallel_init calls that used the pool"
+  counter ~stability:runtime
+    ~doc:"parallel_init calls that spawned worker domains"
     "parpool.jobs"
 
 let parpool_chunks =
   counter ~stability:runtime
-    ~doc:"Work chunks executed (by workers and the helping caller)"
+    ~doc:"Items run by parallel jobs (by workers and the claiming caller)"
     "parpool.chunks"
 
 let parpool_seq_fallbacks =
   counter ~stability:runtime
-    ~doc:"parallel_init calls that ran sequentially (env, size, or no pool)"
+    ~doc:"parallel_init calls that ran sequentially (env, size, nesting, or \
+          no workers)"
     "parpool.seq_fallbacks"
 
 let parpool_idle_ns =
   counter ~stability:runtime
-    ~doc:"Wall nanoseconds worker domains spent waiting for work"
+    ~doc:"Wall nanoseconds domains of parallel jobs spent before their first \
+          claim, plus the caller's wait at the join"
     "parpool.idle_ns"
 
 let parpool_busy_ns =
   counter ~stability:runtime
-    ~doc:"Wall nanoseconds spent executing chunks, pool-wide (workers and \
-          the helping caller)"
+    ~doc:"Wall nanoseconds spent claiming and running items, pool-wide \
+          (workers and the claiming caller)"
     "parpool.busy_ns"
 
-(* Per-slot pool gauges: slot 0 is the calling domain (it runs chunk 0 and
-   helps drain the queue), slots 1..8 are the lazily spawned workers —
-   1 + Parpool.max_workers slots, fixed at declaration so the frozen shape
-   never depends on how wide this machine happened to run.  The per-slot
+(* Per-slot pool gauges: slot 0 is the calling domain (it claims items
+   like any worker, and its join wait counts as idle), slots 1..8 are the
+   workers each parallel call spawns — 1 + Parpool.max_workers slots, fixed
+   at declaration so the frozen shape never depends on how wide this
+   machine happened to run.  The per-slot
    busy/idle/task levels sum to the pool-wide parpool.busy_ns /
    parpool.idle_ns / parpool.chunks counters (pinned by
    test/test_parallel.ml). *)
@@ -239,20 +243,17 @@ let parpool_worker_busy_ns =
 
 let parpool_worker_idle_ns =
   Metrics.gauge ~slots:pool_slots ~slot_label:pool_slot_label
-    ~doc:"Wall nanoseconds each worker slot spent waiting for work"
+    ~doc:"Wall nanoseconds each pool slot spent before its first claim or \
+          at the join"
     "parpool.worker_idle_ns"
 
 let parpool_worker_tasks =
   Metrics.gauge ~slots:pool_slots ~slot_label:pool_slot_label
-    ~doc:"Chunks each pool slot executed" "parpool.worker_tasks"
-
-let parpool_queue_depth =
-  Metrics.gauge ~doc:"Chunks currently enqueued and not yet claimed"
-    "parpool.queue_depth"
+    ~doc:"Items each pool slot ran" "parpool.worker_tasks"
 
 let parpool_width =
   Metrics.gauge
-    ~doc:"Current pool width: 1 caller + spawned worker domains"
+    ~doc:"Width of the last parallel job: 1 caller + its worker domains"
     "parpool.width"
 
 (* ---- GC, per evaluate phase (runtime: allocation depends on cache and

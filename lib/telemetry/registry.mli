@@ -87,17 +87,18 @@ val parpool_idle_ns : Metrics.counter
 val parpool_busy_ns : Metrics.counter
 
 (** Per-slot pool gauges: slot 0 is the calling domain, slots 1..8 the
-    lazily spawned workers ([1 + Parpool.max_workers] slots, fixed).  The
-    per-slot levels sum to the pool-wide [parpool.busy_ns] /
-    [parpool.idle_ns] / [parpool.chunks] counters (pinned by
-    [test/test_parallel.ml]). *)
+    workers each parallel call spawns ([1 + Parpool.max_workers] slots,
+    fixed).  [parpool.chunks] counts the items parallel jobs ran; a slot's
+    idle time runs from the call's start to its first claim, and the
+    caller's wait at the join is slot-0 idle.  The per-slot levels sum to
+    the pool-wide [parpool.busy_ns] / [parpool.idle_ns] / [parpool.chunks]
+    counters (pinned by [test/test_parallel.ml]). *)
 
 val pool_slots : int
 val pool_slot_label : int -> string
 val parpool_worker_busy_ns : Metrics.gauge
 val parpool_worker_idle_ns : Metrics.gauge
 val parpool_worker_tasks : Metrics.gauge
-val parpool_queue_depth : Metrics.gauge
 val parpool_width : Metrics.gauge
 
 (** {1 GC, per evaluate phase — runtime}

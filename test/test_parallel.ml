@@ -1,9 +1,10 @@
-(* Encoding runs on the calling domain; the domain pool serves the fault
-   campaign.  These tests pin the pool contract (env toggles, width
-   pinning, exception propagation, per-slot gauges) and that encodes
-   running concurrently on several domains, each with its own scratch
-   arena and sharing the code-table memo, match a plain call bit for
-   bit. *)
+(* Encoding runs on the calling domain; Parpool's per-call domains serve
+   the fault campaign.  These tests pin the Parpool contract (env toggles,
+   width pinning, on-demand claiming, each index run exactly once,
+   exception propagation, sequential nested calls, per-slot gauges) and
+   that encodes running concurrently on several domains, each with its own
+   scratch arena and sharing the code-table memo, match a plain call bit
+   for bit. *)
 
 module Bitmat = Bitutil.Bitmat
 module PE = Powercode.Program_encoder
@@ -121,20 +122,24 @@ let test_concurrent_encodes_agree () =
       (1299709, { (PE.default_config ()) with PE.optimal_chain = true });
     ]
 
-let test_per_slot_gauges_sum_to_pool_totals () =
-  (* acceptance pin: the per-slot busy/idle/task gauges partition the
-     pool-wide parpool.busy_ns / parpool.idle_ns / parpool.chunks counters
-     exactly — slot 0 is the helping caller, slots 1.. the workers *)
+let with_metrics f =
   let module Metrics = Telemetry.Metrics in
-  let module Tel = Telemetry.Registry in
-  force_sequential false;
   Metrics.reset ();
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Metrics.set_enabled false;
       Metrics.reset ())
-  @@ fun () ->
+    f
+
+let test_per_slot_gauges_sum_to_pool_totals () =
+  (* acceptance pin: the per-slot busy/idle/task gauges partition the
+     pool-wide parpool.busy_ns / parpool.idle_ns / parpool.chunks counters
+     exactly — slot 0 is the claiming caller, slots 1.. the workers *)
+  let module Metrics = Telemetry.Metrics in
+  let module Tel = Telemetry.Registry in
+  force_sequential false;
+  with_metrics @@ fun () ->
   with_domains "4" (fun () ->
       for seed = 1 to 3 do
         ignore
@@ -158,8 +163,6 @@ let test_per_slot_gauges_sum_to_pool_totals () =
   check_int "slot idle partitions parpool.idle_ns"
     (Metrics.counter_total Tel.parpool_idle_ns)
     (sum Tel.parpool_worker_idle_ns);
-  check_int "queue drained back to depth 0" 0
-    (Metrics.gauge_value Tel.parpool_queue_depth 0);
   Alcotest.(check bool) "width gauge saw the pool" true
     (Metrics.gauge_value Tel.parpool_width 0 >= 1)
 
@@ -171,6 +174,94 @@ let test_parallel_init_propagates_exception () =
   with
   | _ -> Alcotest.fail "expected exception"
   | exception Failure m -> Alcotest.(check string) "message" "boom" m
+
+let test_slow_index_does_not_stall_others () =
+  (* index 0 blocks until every other index has finished: with items
+     claimed on demand the second domain drains 1..7 meanwhile, where a
+     static split would leave some of them queued behind index 0 *)
+  force_sequential false;
+  let finished = Atomic.make 0 in
+  let n = 8 in
+  let f i =
+    if i > 0 then begin
+      Atomic.incr finished;
+      true
+    end
+    else begin
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while Atomic.get finished < n - 1 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Atomic.get finished = n - 1
+    end
+  in
+  let r = with_domains "2" (fun () -> Parpool.parallel_init n f) in
+  Alcotest.(check bool) "indices 1..7 finished while index 0 waited" true
+    r.(0)
+
+let test_each_index_runs_once () =
+  force_sequential false;
+  List.iter
+    (fun width ->
+      let n = 500 in
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let r =
+        with_domains width (fun () ->
+            Parpool.parallel_init n (fun i ->
+                Atomic.incr runs.(i);
+                i * i))
+      in
+      Alcotest.(check (array int))
+        ("results at width " ^ width)
+        (Array.init n (fun i -> i * i))
+        r;
+      Array.iteri
+        (fun i c ->
+          check_int (Printf.sprintf "width %s index %d runs" width i) 1
+            (Atomic.get c))
+        runs)
+    [ "2"; "3"; "4" ]
+
+let test_nested_call_runs_sequentially () =
+  let module Tel = Telemetry.Registry in
+  force_sequential false;
+  with_metrics @@ fun () ->
+  let g j = (j * 7) + 1 in
+  let outer = 4 in
+  let r =
+    with_domains "3" (fun () ->
+        Parpool.parallel_init outer (fun _ -> Parpool.parallel_init 5 g))
+  in
+  Array.iter
+    (Alcotest.(check (array int)) "inner = Array.init" (Array.init 5 g))
+    r;
+  check_int "one parallel job" 1
+    (Telemetry.Metrics.counter_total Tel.parpool_jobs);
+  check_int "every inner call fell back to sequential" outer
+    (Telemetry.Metrics.counter_total Tel.parpool_seq_fallbacks)
+
+let test_caller_covers_the_call () =
+  (* slot 0 is busy claiming or idle at the join for the whole call, so a
+     50 ms item bounds its busy + idle from below whichever domain ran it;
+     the 5 ms item keeps the caller busy while a worker claims the slow
+     one *)
+  let module Metrics = Telemetry.Metrics in
+  let module Tel = Telemetry.Registry in
+  force_sequential false;
+  with_metrics @@ fun () ->
+  ignore
+    (with_domains "2" (fun () ->
+         Parpool.parallel_init 4 (fun i ->
+             if i = 0 then Unix.sleepf 0.005
+             else if i = 3 then Unix.sleepf 0.05)));
+  let covered =
+    Metrics.gauge_value Tel.parpool_worker_busy_ns 0
+    + Metrics.gauge_value Tel.parpool_worker_idle_ns 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "slot 0 busy + idle = %d ns >= 45 ms" covered)
+    true
+    (covered >= 45_000_000)
 
 let () =
   Alcotest.run "parallel"
@@ -194,5 +285,13 @@ let () =
             test_concurrent_encodes_agree;
           Alcotest.test_case "per-slot gauges sum to pool totals" `Quick
             test_per_slot_gauges_sum_to_pool_totals;
+          Alcotest.test_case "slow index does not stall others" `Quick
+            test_slow_index_does_not_stall_others;
+          Alcotest.test_case "each index runs once" `Quick
+            test_each_index_runs_once;
+          Alcotest.test_case "nested call runs sequentially" `Quick
+            test_nested_call_runs_sequentially;
+          Alcotest.test_case "caller covers the call" `Quick
+            test_caller_covers_the_call;
         ] );
     ]

@@ -67,7 +67,6 @@ let expected_schema =
     ("parpool.chunks", "counter", "runtime");
     ("parpool.idle_ns", "counter", "runtime");
     ("parpool.jobs", "counter", "runtime");
-    ("parpool.queue_depth", "gauge", "runtime");
     ("parpool.seq_fallbacks", "counter", "runtime");
     ("parpool.width", "gauge", "runtime");
     ("parpool.worker_busy_ns", "gauge", "runtime");
